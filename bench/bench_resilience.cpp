@@ -78,12 +78,12 @@ void run_batches(benchmark::State& state, bool with_policy) {
 
 /// Plain submit path: no retry knobs, the historical one-shot semantics.
 void BM_FaultFreeBaseline(benchmark::State& state) { run_batches(state, false); }
-BENCHMARK(BM_FaultFreeBaseline)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FaultFreeBaseline)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Same batch with retries+deadline armed but never triggered.  Comparing
 /// this against BM_FaultFreeBaseline is the <1% fault-free-overhead gate.
 void BM_FaultFreeWithRetryPolicy(benchmark::State& state) { run_batches(state, true); }
-BENCHMARK(BM_FaultFreeWithRetryPolicy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FaultFreeWithRetryPolicy)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Recovery latency: a job whose first attempt always fails (FaultInjector
 /// fail_first_n=1), timed end to end across retry_backoff_ms in {0, 5, 20}.

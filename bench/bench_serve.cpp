@@ -105,7 +105,6 @@ void BM_SustainedLoad(benchmark::State& state) {
 
   serve::DaemonConfig daemon_config;
   daemon_config.store_path = store_path;
-  daemon_config.executors = 2;
   daemon_config.service.default_workers = 2;
   daemon_config.default_policy.max_queued = 4096;  // measuring throughput, not shedding
   serve::JobDaemon daemon(daemon_config);

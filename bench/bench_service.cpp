@@ -57,7 +57,7 @@ void BM_SerialSubmit(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations() * kJobsPerBatch),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SerialSubmit)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerialSubmit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ServiceBatch(benchmark::State& state) {
   backend::register_builtin_backends();
@@ -76,7 +76,7 @@ void BM_ServiceBatch(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
   state.counters["workers"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_ServiceBatch)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceBatch)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

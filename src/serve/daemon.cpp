@@ -3,8 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "analysis/diagnostic.hpp"
-#include "analysis/passes.hpp"
 #include "backend/register_backends.hpp"
 
 namespace quml::serve {
@@ -19,30 +17,35 @@ const char* to_string(SubmitOutcome outcome) noexcept {
 }
 
 JobDaemon::JobDaemon(DaemonConfig config)
-    : config_(std::move(config)), svc_(config_.service), store_(config_.store_path) {
+    : config_(std::move(config)), store_(config_.store_path), svc_(config_.service) {
   backend::register_builtin_backends();  // idempotent; the daemon may be first
+  // Held across the replay: the first enqueued job may settle on a worker
+  // while later ones are still being re-admitted.
+  MutexLock lock(mutex_);
   paused_ = config_.start_paused;
   next_ticket_ = store_.next_ticket();
-  for (const auto& [tenant, policy] : config_.tenants) queue_.set_weight(tenant, policy.weight);
 
-  // Crash recovery: every enqueued-but-unsettled job in the journal goes
-  // back onto the queue with its original ticket and bundle.
+  // Crash recovery: every enqueued-but-unsettled job in the journal is
+  // re-admitted with its original ticket and bundle.
   for (PendingJob& job : store_.pending()) {
-    queue_.set_weight(job.tenant, policy_for_(job.tenant).weight);
-    Record record;
-    record.tenant = job.tenant;
-    record.bundle = std::move(job.bundle);
-    const std::uint64_t ticket = job.ticket;
-    records_.emplace(ticket, std::move(record));
-    queue_.push(job.tenant, ticket);
     ++counters_.replayed;
-    ++counters_.queued;
-  }
-
-  const int executors = config_.executors > 0 ? config_.executors : 1;
-  executors_.reserve(static_cast<std::size_t>(executors));
-  for (int i = 0; i < executors; ++i) {
-    executors_.emplace_back([this] { executor_loop_(); });
+    Record& record = records_[job.ticket];
+    record.tenant = job.tenant;
+    try {
+      record.job = svc_.admit(std::move(job.bundle));
+    } catch (const std::exception& e) {
+      // A journaled job this build no longer admits (its engine is gone, a
+      // new pass rejects it) settles FAILED instead of blocking the boot.
+      record.admission_error = e.what();
+      settle_locked_(job.ticket, record);
+      continue;
+    }
+    unsettled_.insert(job.ticket);
+    if (paused_) {
+      held_.push_back(job.ticket);
+    } else {
+      enqueue_locked_(job.ticket, record);
+    }
   }
 }
 
@@ -63,70 +66,72 @@ SubmitReply JobDaemon::submit(const std::string& tenant, core::JobBundle bundle)
     return reply;
   }
 
-  // Admission: the error-severity QA passes, rendered exactly like
-  // `quml_validate --lint` via DiagnosticError.  Defective bundles never
-  // touch the store or a queue slot.
-  analysis::AnalyzeOptions options;
-  options.require_bound = true;
-  options.resource_notes = false;
-  const analysis::Report report = analysis::analyze_bundle(bundle, options);
-  if (report.has_errors()) {
-    const analysis::DiagnosticError rendered(bundle.job_id, report.errors());
+  // Admission, off the daemon lock: routing, the capacity check and the
+  // error-severity QA passes, rendered like `quml_validate --lint` via
+  // DiagnosticError.  Defective bundles never touch the store or a queue.
+  svc::JobHandle job;
+  try {
+    job = svc_.admit(bundle);
+  } catch (const std::exception& e) {
     reply.outcome = SubmitOutcome::Rejected;
-    reply.detail = rendered.what();
+    reply.detail = e.what();
     MutexLock lock(mutex_);
     ++counters_.rejected;
     return reply;
   }
 
   const TenantPolicy& policy = policy_for_(tenant);
-  queue_.set_weight(tenant, policy.weight);
-  {
-    MutexLock lock(mutex_);
-    if (stopping_ || quiescing_) {
-      ++counters_.shed;
-      reply.outcome = SubmitOutcome::Shed;
-      reply.detail = "daemon is shutting down";
-      return reply;
-    }
-    // Depth check and push are serialized under mutex_, so the bound is
-    // exact: concurrent pops only shrink the lane in between.
-    const std::size_t depth = queue_.depth(tenant);
-    if (depth >= policy.max_queued) {
-      ++counters_.shed;
-      reply.outcome = SubmitOutcome::Shed;
-      reply.detail = "tenant '" + tenant + "' queue is full (" + std::to_string(depth) + "/" +
-                     std::to_string(policy.max_queued) + "); retry after the backlog drains";
-      return reply;
-    }
-    const std::uint64_t ticket = next_ticket_;
-    PendingJob job;
-    job.ticket = ticket;
-    job.tenant = tenant;
-    job.bundle = bundle;
-    try {
-      store_.append_enqueue(job);  // persisted before it can run
-    } catch (const Error& e) {
-      // Journal failure (e.g. disk full): the job was never accepted, and
-      // the caller's thread — possibly the server's poll loop — must hear
-      // that as a reply, not an exception.  The unused ticket is not burned.
-      ++counters_.shed;
-      reply.outcome = SubmitOutcome::Shed;
-      reply.detail = std::string("job store append failed: ") + e.what();
-      return reply;
-    }
-    ++next_ticket_;
-    Record record;
-    record.tenant = tenant;
-    record.bundle = std::move(bundle);
-    records_.emplace(ticket, std::move(record));
-    ++counters_.accepted;
-    ++counters_.queued;
-    queue_.push(tenant, ticket);
-    reply.outcome = SubmitOutcome::Accepted;
-    reply.ticket = ticket;
+  MutexLock lock(mutex_);
+  if (stopping_ || quiescing_) {
+    ++counters_.shed;
+    reply.outcome = SubmitOutcome::Shed;
+    reply.detail = "daemon is shutting down";
+    return reply;
   }
+  // Depth check and enqueue are serialized under mutex_, so the bound is
+  // exact: concurrent worker pops only shrink the lane in between.
+  std::size_t depth = svc_.lane_depth(tenant);
+  for (const std::uint64_t held : held_) depth += records_.at(held).tenant == tenant ? 1 : 0;
+  if (depth >= policy.max_queued) {
+    ++counters_.shed;
+    reply.outcome = SubmitOutcome::Shed;
+    reply.detail = "tenant '" + tenant + "' queue is full (" + std::to_string(depth) + "/" +
+                   std::to_string(policy.max_queued) + "); retry after the backlog drains";
+    return reply;
+  }
+  const std::uint64_t ticket = next_ticket_;
+  try {
+    store_.append_enqueue(PendingJob{ticket, tenant, std::move(bundle)});  // persisted first
+  } catch (const Error& e) {
+    // Journal failure (e.g. disk full): the job was never accepted, and
+    // the caller's thread — possibly the server's poll loop — must hear
+    // that as a reply, not an exception.  The unused ticket is not burned.
+    ++counters_.shed;
+    reply.outcome = SubmitOutcome::Shed;
+    reply.detail = std::string("job store append failed: ") + e.what();
+    return reply;
+  }
+  ++next_ticket_;
+  Record& record = records_[ticket];
+  record.tenant = tenant;
+  record.job = std::move(job);
+  unsettled_.insert(ticket);
+  ++counters_.accepted;
+  if (paused_) {
+    held_.push_back(ticket);
+  } else {
+    enqueue_locked_(ticket, record);
+  }
+  reply.outcome = SubmitOutcome::Accepted;
+  reply.ticket = ticket;
   return reply;
+}
+
+void JobDaemon::enqueue_locked_(std::uint64_t ticket, const Record& record) {
+  const svc::JobId id =
+      svc_.enqueue(record.job, svc::Lane{record.tenant, policy_for_(record.tenant).weight},
+                   [this, ticket] { job_settled_(ticket); });
+  svc_.forget(id);  // the record's handle is the daemon's only reference
 }
 
 JobInfo JobDaemon::info_locked_(std::uint64_t ticket, const Record& record) const {
@@ -134,11 +139,19 @@ JobInfo JobDaemon::info_locked_(std::uint64_t ticket, const Record& record) cons
   info.known = true;
   info.ticket = ticket;
   info.tenant = record.tenant;
-  info.status = svc::to_string(record.status);
-  info.engine = record.engine;
-  info.error = record.error;
-  info.attempts = record.attempts;
-  info.result = record.result;
+  if (!record.job.valid()) {
+    info.status = svc::to_string(svc::JobStatus::Failed);
+    info.error = record.admission_error;
+    return info;
+  }
+  // Status first: the terminal fields below are written before the status
+  // turns terminal, so a terminal status guarantees they are final.
+  const svc::JobStatus status = record.job.status();
+  info.status = svc::to_string(status);
+  info.engine = record.job.engine();
+  info.error = record.job.error();
+  info.attempts = record.job.attempts();
+  if (status == svc::JobStatus::Done) info.result = record.job.result();
   return info;
 }
 
@@ -156,11 +169,9 @@ bool JobDaemon::wait_for(const std::string& tenant, std::uint64_t ticket,
   for (;;) {
     const auto it = records_.find(ticket);
     if (it == records_.end() || it->second.tenant != tenant) return true;
-    if (svc::is_terminal(it->second.status)) return true;
-    if (settled_cv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
-      const auto again = records_.find(ticket);
-      return again == records_.end() || svc::is_terminal(again->second.status);
-    }
+    if (unsettled_.count(ticket) == 0) return true;
+    if (settled_cv_.wait_until(mutex_, deadline) == std::cv_status::timeout)
+      return unsettled_.count(ticket) == 0;
   }
 }
 
@@ -170,34 +181,43 @@ void JobDaemon::quiesce() {
 }
 
 void JobDaemon::resume() {
-  {
-    MutexLock lock(mutex_);
-    paused_ = false;
-  }
-  pause_cv_.notify_all();
+  MutexLock lock(mutex_);
+  paused_ = false;
+  // Enqueued under mutex_: a worker's settle hook blocks on it, so the whole
+  // held backlog is in the lanes before the second job is popped.
+  for (const std::uint64_t ticket : held_) enqueue_locked_(ticket, records_.at(ticket));
+  held_.clear();
 }
 
 void JobDaemon::drain() {
   MutexLock lock(mutex_);
-  while (counters_.queued + counters_.in_flight > 0) settled_cv_.wait(mutex_);
+  while (!unsettled_.empty()) settled_cv_.wait(mutex_);
 }
 
 void JobDaemon::stop() {
   {
     MutexLock lock(mutex_);
     stopping_ = true;
+    held_.clear();
+    // Queued jobs are abandoned, not run: a cancelled job writes no settle
+    // record (job_settled_), so it replays on the next boot.  Running jobs
+    // cannot be cancelled; they finish and settle normally.
+    for (const std::uint64_t ticket : unsettled_) records_.at(ticket).job.cancel();
   }
-  pause_cv_.notify_all();
-  queue_.close();  // parked pops return nullopt; queued tickets stay stored
-  for (auto& thread : executors_) {
-    if (thread.joinable()) thread.join();
-  }
-  executors_.clear();
+  svc_.shutdown();  // joins the workers once every popped job has settled
 }
 
 JobDaemon::Stats JobDaemon::stats() const {
   MutexLock lock(mutex_);
-  return counters_;
+  Stats stats = counters_;
+  for (const std::uint64_t ticket : unsettled_) {
+    if (records_.at(ticket).job.status() == svc::JobStatus::Queued) {
+      ++stats.queued;
+    } else {
+      ++stats.in_flight;
+    }
+  }
+  return stats;
 }
 
 void JobDaemon::set_settle_callback(SettleCallback callback) {
@@ -205,89 +225,15 @@ void JobDaemon::set_settle_callback(SettleCallback callback) {
   on_settle_ = std::move(callback);
 }
 
-void JobDaemon::executor_loop_() {
-  for (;;) {
-    {
-      MutexLock lock(mutex_);
-      while (paused_ && !stopping_) pause_cv_.wait(mutex_);
-      if (stopping_) return;
-    }
-    const auto ticket = queue_.pop();
-    if (!ticket) return;  // closed: abandon to the store
-
-    core::JobBundle bundle;
-    {
-      MutexLock lock(mutex_);
-      const auto it = records_.find(*ticket);
-      if (it == records_.end()) continue;
-      it->second.status = svc::JobStatus::Running;
-      bundle = it->second.bundle;
-      --counters_.queued;
-      ++counters_.in_flight;
-    }
-
-    svc::JobStatus status = svc::JobStatus::Failed;
-    std::string engine;
-    std::string error;
-    std::size_t attempts = 0;
-    std::optional<core::ExecutionResult> result;
-    try {
-      const svc::JobId id = svc_.submit(bundle);
-      const svc::JobHandle handle = svc_.handle(id);
-      handle.wait();
-      status = handle.status();
-      engine = handle.engine();
-      attempts = handle.attempts();
-      if (status == svc::JobStatus::Done) {
-        result = handle.result();
-      } else {
-        error = handle.error();
-      }
-      svc_.forget(id);
-    } catch (const std::exception& e) {
-      // Routing/admission errors from svc_.submit arrive here synchronously;
-      // the job settles FAILED with the rendered message.
-      status = svc::JobStatus::Failed;
-      error = e.what();
-    }
-    settle_(*ticket, status, std::move(engine), std::move(error), attempts, std::move(result));
-  }
-}
-
-void JobDaemon::settle_(std::uint64_t ticket, svc::JobStatus status, std::string engine,
-                        std::string error, std::size_t attempts,
-                        std::optional<core::ExecutionResult> result) {
+void JobDaemon::job_settled_(std::uint64_t ticket) {
   JobInfo info;
   {
     MutexLock lock(mutex_);
     const auto it = records_.find(ticket);
     if (it == records_.end()) return;
-    Record& record = it->second;
-    record.status = status;
-    record.engine = std::move(engine);
-    record.error = std::move(error);
-    record.attempts = attempts;
-    record.result = std::move(result);
-    // The bundle is spent: replay reads the store, not this cache.
-    record.bundle = core::JobBundle{};
-    try {
-      store_.append_settle(ticket, svc::to_string(status));
-      if (store_.settled_records() >= config_.compact_after_settles) store_.compact();
-    } catch (const Error&) {
-      // Journal trouble must not take the executor down; worst case the job
-      // replays (deterministically) on the next boot.
-    }
-    ++counters_.settled;
-    --counters_.in_flight;
-    info = info_locked_(ticket, record);
-    // Retention: only the newest `settled_retention` settled records stay
-    // queryable; older ones are evicted so memory tracks the backlog, not
-    // the daemon's lifetime job count.
-    settled_order_.push_back(ticket);
-    while (settled_order_.size() > config_.settled_retention) {
-      records_.erase(settled_order_.front());
-      settled_order_.pop_front();
-    }
+    // Cancelled only by stop(): abandoned to the journal for the next boot.
+    if (it->second.job.status() == svc::JobStatus::Cancelled) return;
+    info = settle_locked_(ticket, it->second);
   }
   settled_cv_.notify_all();
   {
@@ -296,6 +242,28 @@ void JobDaemon::settle_(std::uint64_t ticket, svc::JobStatus status, std::string
     MutexLock lock(callback_mutex_);
     if (on_settle_) on_settle_(info);
   }
+}
+
+JobInfo JobDaemon::settle_locked_(std::uint64_t ticket, const Record& record) {
+  JobInfo info = info_locked_(ticket, record);
+  try {
+    store_.append_settle(ticket, info.status);
+    if (store_.settled_records() >= config_.compact_after_settles) store_.compact();
+  } catch (const Error&) {
+    // Journal trouble must not take the worker down; worst case the job
+    // replays (deterministically) on the next boot.
+  }
+  unsettled_.erase(ticket);
+  ++counters_.settled;
+  // Retention: only the newest `settled_retention` settled records stay
+  // queryable; older ones are evicted so memory tracks the backlog, not
+  // the daemon's lifetime job count.
+  settled_order_.push_back(ticket);
+  while (settled_order_.size() > config_.settled_retention) {
+    records_.erase(settled_order_.front());
+    settled_order_.pop_front();
+  }
+  return info;
 }
 
 }  // namespace quml::serve

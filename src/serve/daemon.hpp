@@ -1,27 +1,33 @@
 #pragma once
-// The quml_serve job daemon: multi-tenant admission, persistence, fair-share
-// scheduling, and execution over svc::ExecutionService.
+// The quml_serve job daemon: multi-tenant admission, persistence, and
+// fair-share execution over svc::ExecutionService.
 //
 // Lifecycle of one job:
 //
 //   submit(tenant, bundle)
-//     -> semantic admission (error-severity QA passes; defects are REJECTED
-//        with the same DiagnosticError rendering quml_validate prints)
+//     -> ExecutionService::admit (routing, capacity check, error-severity QA
+//        passes; defects are REJECTED with the QA-coded DiagnosticError
+//        rendering, nothing persisted)
 //     -> backpressure (tenant lane at its bound -> SHED, nothing persisted)
 //     -> ticket minted, enqueue record appended to the JobStore
-//     -> ticket pushed onto the FairShareQueue
-//   executor thread pops in fair-share order
-//     -> svc::ExecutionService::submit + wait (retries/breakers/failover all
-//        apply — the daemon inherits the whole resilience layer)
-//     -> settle record appended, result cached, settle callback fired
+//     -> ExecutionService::enqueue on the tenant's lane of the engine's queue
+//   a service worker pops it in fair-share order and runs it (retries,
+//   breakers and failover all apply — the daemon inherits the whole
+//   resilience layer), then fires the daemon's settle hook on that thread
+//     -> settle record appended, settle callback fired
 //
-// Crash recovery: the constructor replays the store's pending set back into
-// the queue with the original tickets and bundles.  exec.seed rides in the
-// bundle, so a replayed job reproduces its counts bit-identically.
+// A job crosses one queue and one thread pool: the service's.  The daemon
+// owns no threads; it keeps only the tenant and the service handle per
+// ticket, and reads status and results through the handle.
 //
-// Lock order: daemon mutex_ -> queue mutex (FairShareQueue) / store (no
-// lock).  The settle callback is invoked with no daemon lock held, so a
-// server can take its own locks freely.
+// Crash recovery: the constructor re-admits the store's pending set with the
+// original tickets and bundles.  exec.seed rides in the bundle, so a
+// replayed job reproduces its counts bit-identically.
+//
+// Lock order: daemon mutex_ -> service locks / store (no lock).  Settle
+// hooks run on service workers with no service lock held, take mutex_, and
+// invoke the settle callback with no daemon lock held, so a server can take
+// its own locks freely.
 
 #include <chrono>
 #include <cstdint>
@@ -29,13 +35,12 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/bundle.hpp"
 #include "core/result.hpp"
-#include "serve/queue.hpp"
 #include "serve/store.hpp"
 #include "svc/execution_service.hpp"
 #include "util/sync.hpp"
@@ -46,8 +51,9 @@ namespace quml::serve {
 /// Per-tenant scheduling weight and admission bound.
 struct TenantPolicy {
   double weight = 1.0;
-  /// Maximum tickets queued (not yet running) per tenant; the next submit
-  /// past the bound is SHED.
+  /// Maximum tickets queued (not yet running) per tenant, summed over the
+  /// tenant's lanes in every engine's queue; the next submit past the bound
+  /// is SHED.
   std::size_t max_queued = 64;
 };
 
@@ -57,13 +63,9 @@ struct DaemonConfig {
   /// Per-tenant overrides; unknown tenants get `default_policy`.
   std::map<std::string, TenantPolicy> tenants;
   TenantPolicy default_policy;
-  /// Executor threads popping the fair-share queue.  Each executor drives
-  /// one job at a time through the ExecutionService (which has its own
-  /// per-backend worker pools), so this bounds daemon-level concurrency.
-  int executors = 2;
-  /// Construct with the executors parked; resume() releases them.  Lets
-  /// tests populate the queue, destroy the daemon undrained, and assert the
-  /// store replays on the next boot.
+  /// Construct paused: admitted jobs are journaled but held in the daemon
+  /// until resume() enqueues them.  Lets tests populate the backlog, destroy
+  /// the daemon undrained, and assert the store replays on the next boot.
   bool start_paused = false;
   /// Compact the journal once this many settle records accumulate.
   std::size_t compact_after_settles = 256;
@@ -93,7 +95,7 @@ struct JobInfo {
   std::uint64_t ticket = 0;
   std::string tenant;
   std::string status;  ///< "QUEUED", "RUNNING", "DONE", "FAILED", "CANCELLED"
-  std::string engine;  ///< resolved engine once terminal ("" before)
+  std::string engine;  ///< engine resolved at admission ("" if admission failed)
   std::string error;   ///< failure rendering for FAILED
   std::size_t attempts = 0;
   std::optional<core::ExecutionResult> result;  ///< DONE only
@@ -118,7 +120,7 @@ class JobDaemon {
   bool wait_for(const std::string& tenant, std::uint64_t ticket,
                 std::chrono::milliseconds timeout) const QUML_EXCLUDES(mutex_);
 
-  /// Releases executors parked by DaemonConfig::start_paused (idempotent).
+  /// Enqueues the jobs held by DaemonConfig::start_paused (idempotent).
   void resume() QUML_EXCLUDES(mutex_);
 
   /// Stops admitting: every later submit is SHED while queued/running work
@@ -131,9 +133,9 @@ class JobDaemon {
   /// submissions keep being accepted and can extend the drain.
   void drain() QUML_EXCLUDES(mutex_);
 
-  /// Stops accepting, abandons whatever is still queued (it stays in the
-  /// store for the next boot), and joins the executors.  Idempotent; the
-  /// destructor calls it.
+  /// Stops accepting, abandons whatever is still queued (cancelled, with no
+  /// settle record, so it replays on the next boot), and waits for running
+  /// jobs to settle.  Idempotent; the destructor calls it.
   void stop() QUML_EXCLUDES(mutex_);
 
   struct Stats {
@@ -142,61 +144,65 @@ class JobDaemon {
     std::uint64_t shed = 0;
     std::uint64_t settled = 0;
     std::uint64_t replayed = 0;  ///< jobs recovered from the store at boot
-    std::size_t queued = 0;      ///< accepted, not yet claimed by an executor
+    std::size_t queued = 0;      ///< accepted, not yet claimed by a worker
     std::size_t in_flight = 0;   ///< claimed, not yet settled
   };
   Stats stats() const QUML_EXCLUDES(mutex_);
 
-  /// Fired on the settling executor's thread, with only the callback mutex
-  /// held, for every job that reaches a terminal state.  Invocation is
-  /// serialized against set_settle_callback: once set_settle_callback({})
-  /// returns, no callback is running or will run again — the unhooking
-  /// handshake a Server needs before it may close its wake pipe.
+  /// Fired on the settling service worker's thread, with only the callback
+  /// mutex held, for every job that settles (not for the queued jobs stop()
+  /// abandons to the journal).  Invocation is serialized against
+  /// set_settle_callback: once set_settle_callback({}) returns, no callback
+  /// is running or will run again — the unhooking handshake a Server needs
+  /// before it may close its wake pipe.
   using SettleCallback = std::function<void(const JobInfo&)>;
   void set_settle_callback(SettleCallback callback) QUML_EXCLUDES(callback_mutex_);
-
-  /// The underlying execution service (breaker states, capability snapshot).
-  svc::ExecutionService& service() noexcept { return svc_; }
 
  private:
   struct Record {
     std::string tenant;
-    core::JobBundle bundle;
-    svc::JobStatus status = svc::JobStatus::Queued;
-    std::string engine;
-    std::string error;
-    std::size_t attempts = 0;
-    std::optional<core::ExecutionResult> result;
+    /// The service job, from admission on; the single source of status,
+    /// engine, attempts and result.  Invalid only for a replayed job that
+    /// failed re-admission, which settled FAILED with `admission_error`.
+    svc::JobHandle job;
+    std::string admission_error;
   };
 
   const TenantPolicy& policy_for_(const std::string& tenant) const;
-  void executor_loop_();
+  /// Queues an admitted record on its tenant's lane, with the settle hook.
+  void enqueue_locked_(std::uint64_t ticket, const Record& record) QUML_REQUIRES(mutex_);
+  /// Service settle hook: journals the settle and fires the settle callback.
+  void job_settled_(std::uint64_t ticket) QUML_EXCLUDES(mutex_, callback_mutex_);
+  /// Marks a record settled: settle record, counters, retention eviction
+  /// (which may erase `record` — use the returned snapshot).
+  JobInfo settle_locked_(std::uint64_t ticket, const Record& record) QUML_REQUIRES(mutex_);
   JobInfo info_locked_(std::uint64_t ticket, const Record& record) const QUML_REQUIRES(mutex_);
-  void settle_(std::uint64_t ticket, svc::JobStatus status, std::string engine, std::string error,
-               std::size_t attempts, std::optional<core::ExecutionResult> result)
-      QUML_EXCLUDES(mutex_);
 
   DaemonConfig config_;
-  svc::ExecutionService svc_;
-  FairShareQueue queue_;
 
   mutable Mutex mutex_;
-  mutable CondVar settled_cv_;  // any job settled / counters moved
-  CondVar pause_cv_;
+  mutable CondVar settled_cv_;  // any job settled
   JobStore store_ QUML_GUARDED_BY(mutex_);
   std::map<std::uint64_t, Record> records_ QUML_GUARDED_BY(mutex_);
+  /// Accepted (or replayed) and not yet settled: drain()'s condition, and
+  /// the jobs stop() abandons.
+  std::set<std::uint64_t> unsettled_ QUML_GUARDED_BY(mutex_);
+  /// Admitted while paused, in admission order; resume() enqueues them.
+  std::vector<std::uint64_t> held_ QUML_GUARDED_BY(mutex_);
   /// Settle order, for retention eviction (oldest settled record first).
   std::deque<std::uint64_t> settled_order_ QUML_GUARDED_BY(mutex_);
   std::uint64_t next_ticket_ QUML_GUARDED_BY(mutex_) = 1;
-  Stats counters_ QUML_GUARDED_BY(mutex_);
+  Stats counters_ QUML_GUARDED_BY(mutex_);  // queued/in_flight derived in stats()
   bool paused_ QUML_GUARDED_BY(mutex_) = false;
   bool quiescing_ QUML_GUARDED_BY(mutex_) = false;
   bool stopping_ QUML_GUARDED_BY(mutex_) = false;
-  /// Never nested with mutex_ (settle_ releases mutex_ before taking it).
+  /// Never nested with mutex_ (job_settled_ releases mutex_ before taking it).
   mutable Mutex callback_mutex_;
   SettleCallback on_settle_ QUML_GUARDED_BY(callback_mutex_);
 
-  std::vector<std::thread> executors_;
+  /// Declared last, so it is destroyed first: its workers run settle hooks
+  /// into every member above, and are joined while those are still alive.
+  svc::ExecutionService svc_;
 };
 
 }  // namespace quml::serve

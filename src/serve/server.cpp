@@ -153,6 +153,16 @@ void Server::wake_() {
 }
 
 void Server::on_settle_(const JobInfo& info) {
+  // Runs on a service worker: a settle nobody waits for costs one lookup,
+  // not a result encode.
+  std::vector<std::uint64_t> serials;
+  {
+    MutexLock lock(mutex_);
+    const auto it = waiters_.find(info.ticket);
+    if (it == waiters_.end()) return;
+    serials = std::move(it->second);
+    waiters_.erase(it);
+  }
   std::string payload = json::dump(result_response(info));
   if (payload.size() > config_.limits.max_frame_bytes) {
     // A counts payload wider than the frame limit cannot be framed; the
@@ -166,18 +176,11 @@ void Server::on_settle_(const JobInfo& info) {
     doc.set("status", info.status);
     payload = json::dump(doc);
   }
-  bool woke = false;
   {
     MutexLock lock(mutex_);
-    const auto it = waiters_.find(info.ticket);
-    if (it == waiters_.end()) return;
-    for (const std::uint64_t serial : it->second) {
-      deferred_.emplace_back(serial, payload);
-      woke = true;
-    }
-    waiters_.erase(it);
+    for (const std::uint64_t serial : serials) deferred_.emplace_back(serial, payload);
   }
-  if (woke) wake_();
+  wake_();
 }
 
 void Server::loop_() {

@@ -3,8 +3,8 @@
 //
 // One poll()-driven thread multiplexes every connection: non-blocking
 // accept/read/write, a FrameDecoder per session, and a self-pipe that settle
-// callbacks (which run on daemon executor threads) use to hand deferred
-// `result` responses back to the server thread.  No request ever blocks the
+// callbacks (which run on execution-service worker threads) use to hand
+// deferred `result` responses back to the server thread.  No request ever blocks the
 // loop — a `result` for an unfinished job parks a waiter keyed by the
 // session's serial (not its fd, which the kernel recycles) and is answered
 // from the settle callback.
@@ -120,7 +120,7 @@ class Server {
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_serial_ = 1;
 
-  // Shared with settle callbacks (daemon executor threads):
+  // Shared with settle callbacks (execution-service worker threads):
   Mutex mutex_;
   /// ticket -> sessions waiting on its result.
   std::map<std::uint64_t, std::vector<std::uint64_t>> waiters_ QUML_GUARDED_BY(mutex_);

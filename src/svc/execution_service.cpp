@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "analysis/passes.hpp"
 #include "core/params.hpp"
 #include "core/registry.hpp"
+#include "svc/fair_share.hpp"
 #include "util/errors.hpp"
 
 namespace quml::svc {
@@ -32,13 +32,15 @@ namespace detail {
 /// other order, and no lock is held across a Backend::run call.
 ///
 /// The fields above `mutex` are published-immutable: written by the
-/// submitting thread before the record reaches the queue (enqueue()'s
+/// submitting thread before the record reaches the queue (enqueue_record()'s
 /// critical section is the publication barrier) and never after, except
-/// `bundle`, which the one worker that popped the record also clears once the
-/// run is over — single-owner hand-off through the queue, so it needs no lock.
+/// `bundle`, which the one worker that popped the record also releases once
+/// the run is over — single-owner hand-off through the queue, so it needs no
+/// lock.  It lives behind a pointer so that a settled record a handle keeps
+/// alive costs its result, not an empty ~1 KiB bundle.
 struct JobRecord {
   JobId id = 0;
-  core::JobBundle bundle;
+  std::unique_ptr<core::JobBundle> bundle;
   std::string engine;  // canonical name = queue key
   std::optional<sched::Decision> decision;
   sched::JobEstimate estimate;
@@ -54,6 +56,7 @@ struct JobRecord {
   /// instance is nullptr when the worker could not create its backend; the
   /// task must cope rather than assume a live engine.
   std::function<void(core::Backend*)> task;
+  SettleCallback on_settle;  // set by enqueue_record
 
   mutable Mutex mutex;
   mutable CondVar cv;
@@ -204,8 +207,9 @@ bool JobHandle::cancel() const {
   if (rec.status != JobStatus::Queued) return false;
   rec.status = JobStatus::Cancelled;
   rec.cv.notify_all();
-  // The record stays in its FIFO; the worker that pops it skips execution
-  // and settles the backlog accounting (single accounting path).
+  // The record stays in its lane; the worker that pops it skips execution,
+  // fires its settle callback and settles the backlog accounting (single
+  // accounting path).
   return true;
 }
 
@@ -324,15 +328,15 @@ std::size_t SweepHandle::cancel() const {
 
 // --- ExecutionService -------------------------------------------------------
 
-/// Per-engine FIFO + worker pool.  `workers` is written once while the
-/// creating thread holds the service mutex (queue_for) and read only by
-/// shutdown() after `stopping_` is set, which is why it sits outside the
-/// queue mutex; everything the workers and producers share is guarded.
+/// Per-engine fair-share queue + worker pool.  `workers` is written once
+/// while the creating thread holds the service mutex (queue_for) and read
+/// only by shutdown() after `stopping_` is set, which is why it sits outside
+/// the queue mutex; everything the workers and producers share is guarded.
 struct ExecutionService::BackendQueue {
   std::string engine;  // canonical; immutable after queue_for
   Mutex mutex;
   CondVar cv;
-  std::deque<std::shared_ptr<JobRecord>> fifo QUML_GUARDED_BY(mutex);
+  FairShareQueue<std::shared_ptr<JobRecord>> lanes QUML_GUARDED_BY(mutex);
   double backlog_us QUML_GUARDED_BY(mutex) = 0.0;  // queued + running estimated work
   bool stop QUML_GUARDED_BY(mutex) = false;
   std::vector<std::thread> workers;
@@ -361,23 +365,51 @@ ExecutionService& ExecutionService::shared() {
   return service;
 }
 
+namespace {
+
+/// Semantic admission: the error-severity analysis passes run synchronously
+/// on the submitting thread, so a defective bundle (out-of-range carriers,
+/// unbound sweep symbols, non-unitary matrices, dead clbits) is rejected
+/// with instruction-level QA diagnostics before it can occupy a queue slot.
+/// `capability` is nullopt when no engine could be resolved.
+void reject_defects(const core::JobBundle& bundle,
+                    std::optional<sched::BackendCapability> capability,
+                    const std::vector<std::vector<double>>* sweep_bindings) {
+  analysis::AnalyzeOptions lint_options;
+  lint_options.capability = std::move(capability);
+  lint_options.bindings = sweep_bindings;
+  lint_options.require_bound = sweep_bindings == nullptr;
+  lint_options.resource_notes = false;  // notes can't reject; skip on the hot path
+  const analysis::Report lint = analysis::analyze_bundle(bundle, lint_options);
+  if (lint.has_errors())
+    throw analysis::DiagnosticError("bundle '" + bundle.job_id + "' rejected at admission",
+                                    lint.errors());
+}
+
+}  // namespace
+
 std::shared_ptr<JobRecord> ExecutionService::route(
     core::JobBundle bundle, const std::vector<std::vector<double>>* sweep_bindings) {
   auto rec = std::make_shared<JobRecord>();
-  const std::string requested =
-      bundle.context ? bundle.context->exec.engine : std::string();
-  if (requested.empty())
-    throw BackendError("bundle has no exec.engine to dispatch on");
-
   auto& registry = core::BackendRegistry::instance();
-  if (requested == "auto") {
-    const sched::Decision decision =
-        sched::choose_backend(bundle, capability_snapshot(), config_.weights);
-    rec->engine = registry.canonical(decision.backend);
-    bundle.context->exec.engine = decision.backend;  // late binding resolved
-    rec->decision = decision;
-  } else {
-    rec->engine = registry.canonical(requested);  // throws when unknown
+  try {
+    const std::string requested =
+        bundle.context ? bundle.context->exec.engine : std::string();
+    if (requested.empty()) throw BackendError("bundle has no exec.engine to dispatch on");
+    if (requested == "auto") {
+      const sched::Decision decision =
+          sched::choose_backend(bundle, capability_snapshot(), config_.weights);
+      rec->engine = registry.canonical(decision.backend);
+      bundle.context->exec.engine = decision.backend;  // late binding resolved
+      rec->decision = decision;
+    } else {
+      rec->engine = registry.canonical(requested);  // throws when unknown
+    }
+  } catch (const BackendError&) {
+    // Nothing to route to, but a defective program still reports its QA
+    // codes first: they are what its author has to fix.
+    reject_defects(bundle, std::nullopt, sweep_bindings);
+    throw;
   }
 
   // Reuse one estimate for the backlog feed: what this job is expected to
@@ -401,26 +433,14 @@ std::shared_ptr<JobRecord> ExecutionService::route(
       }
     throw ValidationError(message);
   }
-  // Semantic admission: the error-severity analysis passes run synchronously
-  // on the submitting thread, so a defective bundle (out-of-range carriers,
-  // unbound sweep symbols, non-unitary matrices, dead clbits) is rejected
-  // with instruction-level QA diagnostics before it can occupy a queue slot.
-  analysis::AnalyzeOptions lint_options;
-  lint_options.capability = cap;
-  lint_options.bindings = sweep_bindings;
-  lint_options.require_bound = sweep_bindings == nullptr;
-  lint_options.resource_notes = false;  // notes can't reject; skip on the hot path
-  const analysis::Report lint = analysis::analyze_bundle(bundle, lint_options);
-  if (lint.has_errors())
-    throw analysis::DiagnosticError("bundle '" + bundle.job_id + "' rejected at admission",
-                                    lint.errors());
+  reject_defects(bundle, cap, sweep_bindings);
   rec->estimate = sched::estimate(bundle, cap);
   rec->backlog_contribution_us = rec->estimate.feasible ? rec->estimate.duration_us : 0.0;
   const core::ExecPolicy exec = bundle.exec_policy();
   rec->policy = RetryPolicy::from_exec(exec);
   rec->jitter_seed = exec.seed;
   rec->submitted = std::chrono::steady_clock::now();
-  rec->bundle = std::move(bundle);
+  rec->bundle = std::make_unique<core::JobBundle>(std::move(bundle));
   return rec;
 }
 
@@ -438,11 +458,14 @@ ExecutionService::BackendQueue* ExecutionService::queue_for(const std::string& e
   return raw;
 }
 
-void ExecutionService::enqueue(const std::shared_ptr<JobRecord>& rec) {
+JobId ExecutionService::enqueue_record(const std::shared_ptr<JobRecord>& rec, const Lane& lane,
+                                      SettleCallback on_settle) {
   BackendQueue* queue = nullptr;
   {
     MutexLock lock(mutex_);
     if (stopping_) throw BackendError("ExecutionService is shut down");
+    if (rec->id != 0) throw BackendError("job " + std::to_string(rec->id) + " is already queued");
+    rec->on_settle = std::move(on_settle);
     rec->id = next_id_++;
     records_.emplace(rec->id, rec);
     bool born_failed = false;
@@ -458,18 +481,25 @@ void ExecutionService::enqueue(const std::shared_ptr<JobRecord>& rec) {
       // where shutdown() drains and joins the pool, and this job lands in a
       // dead queue as QUEUED forever.
       MutexLock qlock(queue->mutex);
-      queue->fifo.push_back(rec);
+      queue->lanes.push(lane.name, lane.weight, rec);
       queue->backlog_us += rec->backlog_contribution_us;
     }
   }
   if (queue) queue->cv.notify_one();
-}
-
-JobId ExecutionService::submit(core::JobBundle bundle) {
-  auto rec = route(std::move(bundle));
-  enqueue(rec);
   return rec->id;
 }
+
+JobHandle ExecutionService::admit(core::JobBundle bundle) {
+  return JobHandle(route(std::move(bundle)));
+}
+
+JobId ExecutionService::enqueue(const JobHandle& admitted, const Lane& lane,
+                                SettleCallback on_settle) {
+  if (!admitted.valid()) throw BackendError("enqueue of an invalid (default-constructed) JobHandle");
+  return enqueue_record(admitted.rec_, lane, std::move(on_settle));
+}
+
+JobId ExecutionService::submit(core::JobBundle bundle) { return enqueue(admit(std::move(bundle))); }
 
 std::vector<JobId> ExecutionService::submit_batch(std::vector<core::JobBundle> bundles) {
   std::vector<JobId> ids;
@@ -484,8 +514,7 @@ std::vector<JobId> ExecutionService::submit_batch(std::vector<core::JobBundle> b
       rec->status = JobStatus::Failed;
       rec->failure = std::current_exception();
     }
-    enqueue(rec);
-    ids.push_back(rec->id);
+    ids.push_back(enqueue_record(rec, {}, {}));
   }
   return ids;
 }
@@ -619,7 +648,7 @@ SweepHandle ExecutionService::submit_sweep(core::JobBundle bundle,
   // the backend for a bind-once/run-many realization.
   auto probe = route(std::move(bundle), &bindings);
   auto inputs = std::make_shared<SweepInputs>();
-  inputs->bundle = std::move(probe->bundle);
+  inputs->bundle = std::move(*probe->bundle);
   inputs->base_seed = inputs->bundle.exec_policy().seed;
   inputs->policy = probe->policy;
   inputs->submitted = probe->submitted;
@@ -657,7 +686,7 @@ SweepHandle ExecutionService::submit_sweep(core::JobBundle bundle,
       run_sweep_shard(state, backend, &breakers_.breaker(state->engine), &stop_flag_);
     };
     try {
-      enqueue(rec);
+      enqueue_record(rec, {}, {});
     } catch (...) {
       // Keep the sweep's invariants if a shard cannot be enqueued (service
       // shutting down): the shards that never started must not be waited
@@ -709,7 +738,18 @@ std::size_t ExecutionService::queue_depth(const std::string& engine) const {
   const auto it = queues_.find(key);
   if (it == queues_.end()) return 0;
   MutexLock qlock(it->second->mutex);
-  return it->second->fifo.size();
+  return it->second->lanes.size();
+}
+
+std::size_t ExecutionService::lane_depth(const std::string& lane) const {
+  MutexLock lock(mutex_);
+  std::size_t depth = 0;
+  for (const auto& entry : queues_) {
+    BackendQueue& queue = *entry.second;
+    MutexLock qlock(queue.mutex);
+    depth += queue.lanes.depth(lane);
+  }
+  return depth;
 }
 
 std::vector<sched::BackendCapability> ExecutionService::capability_snapshot() const {
@@ -727,6 +767,7 @@ CircuitBreaker::State ExecutionService::breaker_state(const std::string& engine)
 }
 
 void ExecutionService::finish(const std::shared_ptr<JobRecord>& rec, BackendQueue& queue) {
+  if (rec->on_settle) rec->on_settle();
   {
     MutexLock lock(queue.mutex);
     queue.backlog_us -= rec->backlog_contribution_us;
@@ -750,10 +791,9 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
     std::shared_ptr<JobRecord> rec;
     {
       MutexLock lock(queue->mutex);
-      while (!queue->stop && queue->fifo.empty()) queue->cv.wait(queue->mutex);
-      if (queue->fifo.empty()) return;  // stop && drained
-      rec = queue->fifo.front();
-      queue->fifo.pop_front();
+      while (!queue->stop && queue->lanes.empty()) queue->cv.wait(queue->mutex);
+      if (queue->lanes.empty()) return;  // stop && drained
+      rec = *queue->lanes.pop();
     }
 
     bool cancelled = false;
@@ -763,7 +803,7 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
         cancelled = true;
         // A job cancelled while queued never runs: drop its payload here so
         // a long-lived handle to it doesn't pin the bundle forever.
-        rec->bundle = core::JobBundle{};
+        rec->bundle.reset();
       } else {
         rec->status = JobStatus::Running;
       }
@@ -804,7 +844,7 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
       rec->result = std::move(result);
       rec->attempts = std::move(attempts);
       rec->failover_engine = std::move(failover);
-      rec->bundle = core::JobBundle{};  // release the job's largest payload
+      rec->bundle.reset();  // release the job's largest payload
       rec->status = failure ? JobStatus::Failed : JobStatus::Done;
     }
     rec->cv.notify_all();
@@ -818,7 +858,7 @@ RetryOutcome ExecutionService::run_resilient(const std::shared_ptr<JobRecord>& r
   RetryOutcome outcome = run_with_retry(
       rec->policy, rec->jitter_seed, rec->submitted, rec->engine,
       &breakers_.breaker(rec->engine), &stop_flag_, 0,
-      [&] { return backend.run(rec->bundle); });
+      [&] { return backend.run(*rec->bundle); });
   // Cross-engine failover is opt-in via the retry knob: a job that never
   // asked for resilience keeps the historical one-shot, one-engine
   // semantics.  Only transient exhaustion fails over — a permanent failure
@@ -839,7 +879,7 @@ std::string ExecutionService::failover_once(const std::shared_ptr<JobRecord>& re
     if (canonical == rec->engine) continue;
     // estimate() already rejects chaos backends, open breakers, wrong kinds
     // and widths the alternate cannot admit.
-    const sched::JobEstimate est = sched::estimate(rec->bundle, cap);
+    const sched::JobEstimate est = sched::estimate(*rec->bundle, cap);
     if (!est.feasible) continue;
     const double score =
         config_.weights.quality_weight * est.success_prob -
@@ -866,7 +906,7 @@ std::string ExecutionService::failover_once(const std::shared_ptr<JobRecord>& re
   RetryOutcome alt = run_with_retry(
       rec->policy, rec->jitter_seed ^ 0x517cc1b727220a95ull, rec->submitted, best,
       &breakers_.breaker(best), &stop_flag_, next_index,
-      [&] { return alternate->run(rec->bundle); });
+      [&] { return alternate->run(*rec->bundle); });
   for (Attempt& attempt : alt.attempts) outcome.attempts.push_back(std::move(attempt));
   outcome.result = std::move(alt.result);
   outcome.failure = alt.failure;

@@ -2,10 +2,15 @@
 // Asynchronous, scheduler-integrated job execution service.
 //
 // This makes the paper's HPC analogy operational: jobs carrying cost hints
-// flow into per-backend FIFO queues drained by worker pools — like Slurm
-// jobs into partitions — instead of one blocking core::submit() call.
+// flow into per-backend queues drained by worker pools — like Slurm jobs into
+// partitions — instead of one blocking core::submit() call.  Each queue
+// orders its jobs by weighted fair share over named lanes (svc/fair_share.hpp);
+// in-process callers share one default lane, which is a plain FIFO.
 //
 //   * submit() / submit_batch() return immediately with JobIds;
+//   * admit() + enqueue() split submit() in two, so a front end (the
+//     quml_serve daemon) can admit synchronously, persist, then queue on a
+//     tenant lane with a settle callback;
 //   * handle(id) yields a JobHandle with status() / wait() / wait_for() /
 //     result() / cancel();
 //   * exec.engine == "auto" routes through sched::choose_backend with
@@ -23,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -73,6 +79,18 @@ struct ServiceConfig {
     return n > 0 ? n : 1;
   }
 };
+
+/// Fair-share lane of a backend queue (svc/fair_share.hpp).  The default
+/// lane "" serves every in-process caller in FIFO order.
+struct Lane {
+  std::string name;
+  double weight = 1.0;
+};
+
+/// Invoked on the worker thread, with no service lock held, once the job is
+/// terminal — including a job cancelled while queued, when the worker pops
+/// it.  Must not throw: an exception would escape the worker thread.
+using SettleCallback = std::function<void()>;
 
 namespace detail {
 struct JobRecord;
@@ -184,10 +202,23 @@ class ExecutionService {
   ExecutionService(const ExecutionService&) = delete;
   ExecutionService& operator=(const ExecutionService&) = delete;
 
-  /// Routes and enqueues one bundle, returning immediately.  Throws
-  /// BackendError for an unknown/absent engine or when "auto" finds no
-  /// feasible backend — submission errors fail early and synchronously.
+  /// admit() + enqueue() on the default lane, returning immediately.
   JobId submit(core::JobBundle bundle) QUML_EXCLUDES(mutex_);
+
+  /// Admission without queueing: resolves the engine (incl. "auto"), checks
+  /// the register width against the engine's capacity, and runs the
+  /// error-severity semantic analysis (analysis/passes.hpp).  Throws
+  /// synchronously — BackendError for an unknown/absent engine or when
+  /// "auto" finds no feasible backend, ValidationError/DiagnosticError for a
+  /// defective bundle.  The returned handle reads QUEUED with id() 0 until
+  /// enqueue() publishes it.
+  JobHandle admit(core::JobBundle bundle) QUML_EXCLUDES(mutex_);
+
+  /// Queues an admitted job on `lane` of its engine's queue; `on_settle`
+  /// (optional) fires once the job is terminal.  Each admitted handle is
+  /// enqueued at most once.  Throws BackendError after shutdown().
+  JobId enqueue(const JobHandle& admitted, const Lane& lane = {},
+                SettleCallback on_settle = {}) QUML_EXCLUDES(mutex_);
 
   /// Routes and enqueues a batch.  Unlike submit(), a bundle whose routing
   /// fails still yields a JobId: its job is born FAILED with the error
@@ -222,8 +253,10 @@ class ExecutionService {
   /// Estimated microseconds of queued + running work on `engine`'s pool
   /// (accepts aliases).  This is the live queue_wait_us feed for routing.
   double backlog_us(const std::string& engine) const QUML_EXCLUDES(mutex_);
-  /// Jobs currently waiting in `engine`'s FIFO (accepts aliases).
+  /// Jobs currently waiting in `engine`'s queue (accepts aliases).
   std::size_t queue_depth(const std::string& engine) const QUML_EXCLUDES(mutex_);
+  /// Jobs currently waiting on `lane` across every engine's queue.
+  std::size_t lane_depth(const std::string& lane) const QUML_EXCLUDES(mutex_);
   /// Registry capabilities with queue_wait_us = live backlog per backend and
   /// `health` = the engine's circuit-breaker state, so "auto" routing steers
   /// around backends whose breaker is open.
@@ -245,16 +278,16 @@ class ExecutionService {
  private:
   struct BackendQueue;
 
-  /// Resolves the engine (incl. "auto"), runs the admission-time semantic
-  /// analysis (error-severity QA passes — see analysis/passes.hpp), and
-  /// builds the routed record.  Defective bundles throw a
-  /// analysis::DiagnosticError (a ValidationError) *synchronously*, before
-  /// any queueing or allocation.  `sweep_bindings` switches the parameter
-  /// pass from require-bound mode (direct submit) to binding-row checks.
+  /// admit()'s body, building the routed record.  `sweep_bindings` switches
+  /// the parameter pass from require-bound mode (direct submit) to
+  /// binding-row checks.
   std::shared_ptr<detail::JobRecord> route(
       core::JobBundle bundle,
       const std::vector<std::vector<double>>* sweep_bindings = nullptr) QUML_EXCLUDES(mutex_);
-  void enqueue(const std::shared_ptr<detail::JobRecord>& rec) QUML_EXCLUDES(mutex_);
+  /// Assigns the id and, unless the record was born FAILED, pushes it onto
+  /// `lane` of its engine's queue.
+  JobId enqueue_record(const std::shared_ptr<detail::JobRecord>& rec, const Lane& lane,
+                       SettleCallback on_settle) QUML_EXCLUDES(mutex_);
   /// Runs one routed job under its RetryPolicy (svc/resilience.hpp): retries
   /// transient failures with seeded backoff, enforces the deadline, feeds the
   /// engine's circuit breaker, and — when retries are exhausted on a
@@ -271,6 +304,7 @@ class ExecutionService {
   /// the failover attempts.
   std::string failover_once(const std::shared_ptr<detail::JobRecord>& rec,
                             RetryOutcome& outcome) QUML_EXCLUDES(mutex_);
+  /// Fires the job's settle callback, then releases its backlog share.
   void finish(const std::shared_ptr<detail::JobRecord>& rec, BackendQueue& queue)
       QUML_EXCLUDES(mutex_);
   void worker_loop(BackendQueue* queue) QUML_EXCLUDES(mutex_);

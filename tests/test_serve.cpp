@@ -1,8 +1,9 @@
 // quml_serve suite: wire framing (round trips + malformed-frame fuzz),
 // persistent job store (replay, torn tail, compaction), weighted fair-share
-// queueing, daemon admission/backpressure/tenant isolation, crash recovery
-// with bit-identical replay, and the socket server end to end over a unix
-// socket in both framings.
+// lanes of the service queue, daemon admission/backpressure/tenant
+// isolation, crash recovery and stop-time abandonment with bit-identical
+// replay, and the socket server end to end over a unix socket in both
+// framings.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +22,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algolib/graph.hpp"
@@ -31,10 +35,12 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/frame.hpp"
-#include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
+#include "svc/execution_service.hpp"
+#include "svc/fair_share.hpp"
 #include "util/errors.hpp"
+#include "util/sync.hpp"
 
 namespace quml::serve {
 namespace {
@@ -47,9 +53,34 @@ std::string temp_path(const std::string& name) {
   return path;
 }
 
-core::JobBundle qft_job(unsigned width, std::uint64_t seed, std::int64_t samples = 128) {
-  return make_load_bundle(width, samples, seed, "gate.statevector_simulator",
+core::JobBundle qft_job(unsigned width, std::uint64_t seed, std::int64_t samples = 128,
+                        const std::string& engine = "gate.statevector_simulator") {
+  return make_load_bundle(width, samples, seed, engine,
                           "qft" + std::to_string(width) + "-s" + std::to_string(seed));
+}
+
+/// A job on the fault-injecting engine that sleeps `latency_ms` before
+/// delegating to the statevector engine (backend/fault_injector.hpp); with
+/// no latency it is a transparent pass-through.
+core::JobBundle chaos_job(std::uint64_t seed, double latency_ms = 0.0) {
+  core::JobBundle bundle = qft_job(3, seed, 128, "gate.fault_injector");
+  if (latency_ms > 0.0) {
+    json::Value fault = json::Value::object();
+    fault.set("latency_ms", latency_ms);
+    bundle.context->exec.options.set("fault", std::move(fault));
+  }
+  return bundle;
+}
+
+/// Polls until `done()` holds; false after 30 s.
+template <class Pred>
+bool eventually(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// Packages fine but fails require-bound admission with QA012: a declared
@@ -287,22 +318,20 @@ TEST(JobStore, CompactionDropsSettledAndKeepsTicketWatermark) {
   EXPECT_EQ(empty.next_ticket(), 7u);
 }
 
-// --- fair-share queue --------------------------------------------------------
+// --- fair-share lanes (svc/fair_share.hpp) ------------------------------------
 
 TEST(FairShareQueue, WeightedInterleavingIsExact) {
-  FairShareQueue queue;
-  queue.set_weight("a", 2.0);
-  queue.set_weight("b", 1.0);
-  // Tickets encode tenant + order: a -> 100+i, b -> 200+i.
-  for (std::uint64_t i = 0; i < 6; ++i) queue.push("a", 100 + i);
-  for (std::uint64_t i = 0; i < 6; ++i) queue.push("b", 200 + i);
+  svc::FairShareQueue<std::uint64_t> queue;
+  // Tickets encode tenant + order: a -> 100+i, b -> 200+i; weights 2:1.
+  for (std::uint64_t i = 0; i < 6; ++i) queue.push("a", 2.0, 100 + i);
+  for (std::uint64_t i = 0; i < 6; ++i) queue.push("b", 1.0, 200 + i);
   EXPECT_EQ(queue.depth("a"), 6u);
   EXPECT_EQ(queue.depth("b"), 6u);
 
   std::string order;
   std::map<std::string, int> popped;
   for (int i = 0; i < 12; ++i) {
-    const auto ticket = queue.try_pop();
+    const auto ticket = queue.pop();
     ASSERT_TRUE(ticket.has_value());
     const bool is_a = *ticket < 200;
     order += is_a ? 'a' : 'b';
@@ -313,22 +342,20 @@ TEST(FairShareQueue, WeightedInterleavingIsExact) {
   EXPECT_EQ(popped["a"], 6);
   EXPECT_EQ(popped["b"], 6);
   // Within a lane, FIFO order is preserved.
-  EXPECT_EQ(queue.try_pop(), std::nullopt);
+  EXPECT_EQ(queue.pop(), std::nullopt);
 }
 
 TEST(FairShareQueue, IdleTenantEarnsNoBurstCredit) {
-  FairShareQueue queue;
-  queue.set_weight("busy", 1.0);
-  queue.set_weight("idle", 1.0);
-  for (std::uint64_t i = 0; i < 50; ++i) queue.push("busy", i);
-  for (int i = 0; i < 40; ++i) ASSERT_TRUE(queue.try_pop().has_value());
+  svc::FairShareQueue<std::uint64_t> queue;
+  for (std::uint64_t i = 0; i < 50; ++i) queue.push("busy", 1.0, i);
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(queue.pop().has_value());
   // "idle" arrives late; it must interleave from now on, not monopolize.
-  for (std::uint64_t i = 0; i < 5; ++i) queue.push("idle", 1000 + i);
+  for (std::uint64_t i = 0; i < 5; ++i) queue.push("idle", 1.0, 1000 + i);
   int idle_run = 0;
-  const auto first = queue.try_pop();
+  const auto first = queue.pop();
   ASSERT_TRUE(first.has_value());
   for (int i = 0; i < 5; ++i) {
-    const auto t = queue.try_pop();
+    const auto t = queue.pop();
     ASSERT_TRUE(t.has_value());
     if (*t >= 1000) {
       ++idle_run;
@@ -338,12 +365,36 @@ TEST(FairShareQueue, IdleTenantEarnsNoBurstCredit) {
 }
 
 TEST(FairShareQueue, CloseAbandonsQueuedTickets) {
-  FairShareQueue queue;
-  queue.push("a", 1);
-  queue.push("a", 2);
-  queue.close();
-  EXPECT_EQ(queue.pop(), std::nullopt);  // immediately, despite backlog
-  EXPECT_FALSE(queue.push("a", 3));
+  // The lanes live inside the service's backend queue, which abandons queued
+  // work by cancellation (JobDaemon::stop relies on this): jobs cancelled on
+  // a lane behind a running job never run, still fire their settle
+  // callbacks once popped, and leave the lane empty.
+  backend::register_builtin_backends();
+  svc::ServiceConfig config;
+  config.default_workers = 1;
+  svc::ExecutionService service(config);
+  std::atomic<int> settles{0};
+  const svc::Lane lane{"a", 1.0};
+  // Long enough to outlast any scheduling hiccup; shutdown() cuts it short.
+  const svc::JobHandle running = service.admit(chaos_job(1, 5000.0));
+  service.enqueue(running, lane, [&settles] { ++settles; });
+  ASSERT_TRUE(eventually([&] { return running.status() != svc::JobStatus::Queued; }));
+
+  std::vector<svc::JobHandle> queued;
+  for (std::uint64_t j = 0; j < 2; ++j) {
+    queued.push_back(service.admit(chaos_job(2 + j)));
+    service.enqueue(queued.back(), lane, [&settles] { ++settles; });
+  }
+  EXPECT_EQ(service.lane_depth("a"), 2u);
+  for (const svc::JobHandle& job : queued) EXPECT_TRUE(job.cancel());
+  service.shutdown();
+  EXPECT_TRUE(svc::is_terminal(running.status()));
+  for (const svc::JobHandle& job : queued) {
+    EXPECT_EQ(job.status(), svc::JobStatus::Cancelled);
+    EXPECT_EQ(job.attempts(), 0u);  // never ran
+  }
+  EXPECT_EQ(settles.load(), 3);
+  EXPECT_EQ(service.lane_depth("a"), 0u);
 }
 
 // --- raw-socket helpers ------------------------------------------------------
@@ -389,7 +440,6 @@ std::optional<std::string> read_frame(int fd, FrameDecoder& decoder) {
 DaemonConfig daemon_config(const std::string& store_name) {
   DaemonConfig config;
   config.store_path = temp_path(store_name);
-  config.executors = 2;
   config.service.default_workers = 2;
   return config;
 }
@@ -420,6 +470,22 @@ TEST(JobDaemon, RejectsDefectiveBundlesWithQaCodes) {
   const JobDaemon::Stats stats = daemon.stats();
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.accepted, 0u);
+}
+
+TEST(JobDaemon, UnregisteredEngineIsRejectedBeforeTheJournal) {
+  DaemonConfig config = daemon_config("daemon_unknown_engine.ndjson");
+  {
+    JobDaemon daemon(config);
+    const SubmitReply reply = daemon.submit("alice", qft_job(3, 5, 128, "gate.no_such_engine"));
+    EXPECT_EQ(reply.outcome, SubmitOutcome::Rejected);
+    EXPECT_NE(reply.detail.find("gate.no_such_engine"), std::string::npos) << reply.detail;
+    const JobDaemon::Stats stats = daemon.stats();
+    EXPECT_EQ(stats.rejected, 1u);
+    EXPECT_EQ(stats.accepted, 0u);
+  }
+  const JobStore store(config.store_path);
+  EXPECT_TRUE(store.pending().empty());
+  EXPECT_EQ(store.journal_records(), 0u);
 }
 
 TEST(JobDaemon, ShedsPastTenantBoundAndPersistsNothingForShedJobs) {
@@ -497,6 +563,76 @@ TEST(JobDaemon, CrashRecoveryReplaysBitIdentically) {
   }
   // Nothing was duplicated: exactly kJobs settled.
   EXPECT_EQ(daemon.stats().settled, static_cast<std::uint64_t>(kJobs));
+}
+
+TEST(JobDaemon, StopOnRunningDaemonAbandonsQueuedBacklogForReplay) {
+  DaemonConfig config = daemon_config("daemon_stop_backlog.ndjson");
+  config.service.default_workers = 1;
+  constexpr std::uint64_t kQueued = 3;
+  backend::register_builtin_backends();
+  std::vector<std::map<std::string, std::int64_t>> reference;
+  for (std::uint64_t j = 0; j < kQueued; ++j)
+    reference.push_back(core::submit(chaos_job(90 + j)).counts.map());
+
+  std::vector<std::uint64_t> tickets;
+  {
+    JobDaemon daemon(config);
+    // Outlasts any scheduling hiccup; stop() interrupts it.
+    const SubmitReply slow = daemon.submit("alice", chaos_job(89, 5000.0));
+    ASSERT_EQ(slow.outcome, SubmitOutcome::Accepted) << slow.detail;
+    ASSERT_TRUE(eventually([&] { return daemon.info("alice", slow.ticket).status == "RUNNING"; }));
+    for (std::uint64_t j = 0; j < kQueued; ++j) {
+      const SubmitReply reply = daemon.submit("alice", chaos_job(90 + j));
+      ASSERT_EQ(reply.outcome, SubmitOutcome::Accepted) << reply.detail;
+      tickets.push_back(reply.ticket);
+    }
+    EXPECT_EQ(daemon.stats().queued, kQueued);
+    // The running job settles; the backlog behind it is abandoned unsettled.
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().settled, 1u);
+  }
+
+  JobDaemon daemon(config);
+  EXPECT_EQ(daemon.stats().replayed, kQueued);
+  daemon.drain();
+  for (std::uint64_t j = 0; j < kQueued; ++j) {
+    const JobInfo info = daemon.info("alice", tickets[j]);
+    ASSERT_TRUE(info.known) << "ticket " << tickets[j];
+    ASSERT_EQ(info.status, "DONE") << info.error;
+    ASSERT_TRUE(info.result.has_value());
+    EXPECT_EQ(info.result->counts.map(), reference[j]) << "abandoned job " << j << " diverged";
+  }
+  EXPECT_EQ(daemon.stats().settled, kQueued);
+}
+
+TEST(JobDaemon, PausedBacklogSettlesInTenantWeightOrder) {
+  DaemonConfig config = daemon_config("daemon_weights.ndjson");
+  config.start_paused = true;
+  config.service.default_workers = 1;  // one worker: settle order = pop order
+  config.tenants["a"] = TenantPolicy{2.0, 64};
+  config.tenants["b"] = TenantPolicy{1.0, 64};
+  JobDaemon daemon(config);
+  Mutex mutex;
+  std::string order;
+  daemon.set_settle_callback([&](const JobInfo& info) {
+    MutexLock lock(mutex);
+    order += info.tenant;
+  });
+  // Every "a" job is admitted before any "b" job: only fair share can
+  // interleave them.
+  for (const char* tenant : {"a", "b"}) {
+    for (std::uint64_t j = 0; j < 9; ++j) {
+      const SubmitReply reply = daemon.submit(tenant, qft_job(3, 300 + j));
+      ASSERT_EQ(reply.outcome, SubmitOutcome::Accepted) << reply.detail;
+    }
+  }
+  daemon.resume();
+  daemon.drain();
+  daemon.stop();  // the last settle callback has returned
+  MutexLock lock(mutex);
+  ASSERT_EQ(order.size(), 18u);
+  const auto a_first9 = std::count(order.begin(), order.begin() + 9, 'a');
+  EXPECT_NEAR(static_cast<double>(a_first9), 6.0, 1.0) << order;
 }
 
 TEST(JobDaemon, QuiesceShedsNewWorkSoDrainIsBounded) {

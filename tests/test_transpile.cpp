@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "sim/engine.hpp"
 #include "transpile/transpiler.hpp"
 #include "util/errors.hpp"
@@ -120,16 +123,18 @@ TEST(Decompose2q, CcxPreservesSemantics) {
   EXPECT_NEAR(expected.fidelity(actual), 1.0, 1e-9);
 }
 
+// The basis kind is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would make the case names change per run.
 class BasisTranslationProperty
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(BasisTranslationProperty, PreservesSemantics) {
   const auto [seed, basis_kind] = GetParam();
   const Circuit original = random_circuit(4, 30, static_cast<std::uint64_t>(seed));
   BasisSet basis;
-  if (std::string(basis_kind) == "ibm") basis = BasisSet({"sx", "rz", "cx"});
-  else if (std::string(basis_kind) == "rxrz") basis = BasisSet({"rx", "rz", "cx"});
-  else if (std::string(basis_kind) == "cz") basis = BasisSet({"sx", "rz", "cz"});
+  if (basis_kind == "ibm") basis = BasisSet({"sx", "rz", "cx"});
+  else if (basis_kind == "rxrz") basis = BasisSet({"rx", "rz", "cx"});
+  else if (basis_kind == "cz") basis = BasisSet({"sx", "rz", "cz"});
   else basis = BasisSet({"u3", "cx"});
   const Circuit translated = translate_to_basis(original, basis);
   // Every emitted gate is inside the basis (or structural).
@@ -145,7 +150,8 @@ TEST_P(BasisTranslationProperty, PreservesSemantics) {
 INSTANTIATE_TEST_SUITE_P(
     RandomCircuits, BasisTranslationProperty,
     ::testing::Combine(::testing::Range(0, 8),
-                       ::testing::Values("ibm", "rxrz", "cz", "u3")));
+                       ::testing::Values(std::string("ibm"), std::string("rxrz"),
+                                         std::string("cz"), std::string("u3"))));
 
 TEST(Routing, RespectsCouplingMap) {
   const Circuit c = random_circuit(5, 40, 3);

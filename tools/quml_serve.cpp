@@ -2,13 +2,14 @@
 //
 // Daemon mode:
 //   quml_serve --store jobs.ndjson --unix /tmp/quml.sock [--tcp PORT]
-//              [--executors N] [--workers N]
+//              [--workers N]
 //              [--tenant NAME:WEIGHT:MAXQ]... [--default-weight W] [--default-max N]
 //
 // Accepts JSON job bundles over newline-delimited or length-prefixed frames
-// (auto-detected per connection), runs them through the execution service
-// under weighted fair share, and journals every accepted job to --store so a
-// restart replays whatever had not settled.  SIGTERM/SIGINT drain gracefully:
+// (auto-detected per connection), queues them on per-tenant lanes of the
+// execution service's per-engine queues under weighted fair share, runs them
+// on --workers threads per engine, and journals every accepted job to
+// --store so a restart replays whatever had not settled.  SIGTERM/SIGINT drain gracefully:
 // accepted jobs finish, then the daemon reports and exits 0.
 //
 // Client mode:
@@ -41,9 +42,12 @@ void handle_signal(int) { g_stop = 1; }
 void usage() {
   std::fprintf(
       stderr,
-      "usage: quml_serve --store FILE (--unix PATH | --tcp PORT) [--executors N]\n"
-      "                  [--workers N] [--tenant NAME:WEIGHT:MAXQ]...\n"
-      "                  [--default-weight W] [--default-max N]\n"
+      "usage: quml_serve --store FILE (--unix PATH | --tcp PORT) [--workers N]\n"
+      "                  [--tenant NAME:WEIGHT:MAXQ]... [--default-weight W]\n"
+      "                  [--default-max N]\n"
+      "         --workers N   worker threads per engine (default 1); tenants share\n"
+      "                       each engine's queue by weight, MAXQ bounds a tenant's\n"
+      "                       queued jobs\n"
       "       quml_serve --load (--unix PATH | --host IP --port N) [--connections N]\n"
       "                  [--jobs N] [--width W] [--samples N] [--seed S]\n"
       "                  [--tenants a,b,c] [--length-prefixed] [--json]\n");
@@ -186,8 +190,6 @@ int main(int argc, char** argv) {
       port = std::atoi(need_value(i));
     } else if (std::strcmp(arg, "--host") == 0) {
       host = need_value(i);
-    } else if (std::strcmp(arg, "--executors") == 0) {
-      daemon_config.executors = std::atoi(need_value(i));
     } else if (std::strcmp(arg, "--workers") == 0) {
       daemon_config.service.default_workers = std::atoi(need_value(i));
     } else if (std::strcmp(arg, "--default-weight") == 0) {

@@ -124,12 +124,21 @@ void BM_CpChain(benchmark::State& state) {
 }
 BENCHMARK(BM_CpChain)->Arg(12)->Arg(16)->Arg(20)->Arg(22)->Unit(benchmark::kMillisecond);
 
+// The SWAP/CCX chains stay per gate: a barrier between gates keeps every
+// gate a lone op of a plan built once, so each iteration runs the kernel a
+// lone gate gets (the pair walk's exchange body).
 void BM_SwapChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  sim::Circuit c(n, 0);
+  for (int q = 0; q + 1 < n; ++q) {
+    c.swap(q, q + 1);
+    c.barrier();
+  }
+  const auto plan = sim::fuse_unitaries(c);
   sim::Statevector sv(n);
   for (int q = 0; q < n; ++q) sv.apply_1q(q, sim::gate_matrix_1q(sim::Gate::H, nullptr));
   for (auto _ : state) {
-    for (int q = 0; q + 1 < n; ++q) sv.apply_swap(q, q + 1);
+    sim::apply_fused(sv, plan);
     benchmark::DoNotOptimize(sv.amplitudes().data());
   }
 }
@@ -137,10 +146,16 @@ BENCHMARK(BM_SwapChain)->Arg(12)->Arg(16)->Arg(20)->Unit(benchmark::kMillisecond
 
 void BM_CcxChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  sim::Circuit c(n, 0);
+  for (int q = 0; q + 2 < n; ++q) {
+    c.ccx(q, q + 1, q + 2);
+    c.barrier();
+  }
+  const auto plan = sim::fuse_unitaries(c);
   sim::Statevector sv(n);
   for (int q = 0; q < n; ++q) sv.apply_1q(q, sim::gate_matrix_1q(sim::Gate::H, nullptr));
   for (auto _ : state) {
-    for (int q = 0; q + 2 < n; ++q) sv.apply_ccx(q, q + 1, q + 2);
+    sim::apply_fused(sv, plan);
     benchmark::DoNotOptimize(sv.amplitudes().data());
   }
 }

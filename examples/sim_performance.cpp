@@ -52,9 +52,9 @@ int main() {
   std::printf("  k-qubit blocks      %zu (widest %d qubits)\n\n", stats.kq_blocks,
               stats.max_block_qubits);
 
-  // Gate-by-gate native kernels: Statevector::apply_unitaries itself now
-  // routes through the fusion pass, so the unfused reference applies each
-  // instruction explicitly.
+  // Gate by gate, each instruction as its own op: Statevector::apply_unitaries
+  // itself routes through the fusion pass, so the unfused reference applies
+  // each instruction explicitly.
   Stopwatch unfused_timer;
   sim::Statevector unfused(n);
   for (const auto& inst : c.instructions())

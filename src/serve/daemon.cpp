@@ -134,7 +134,8 @@ void JobDaemon::enqueue_locked_(std::uint64_t ticket, const Record& record) {
   svc_.forget(id);  // the record's handle is the daemon's only reference
 }
 
-JobInfo JobDaemon::info_locked_(std::uint64_t ticket, const Record& record) const {
+JobInfo JobDaemon::info_locked_(std::uint64_t ticket, const Record& record,
+                                bool with_result) const {
   JobInfo info;
   info.known = true;
   info.ticket = ticket;
@@ -151,7 +152,7 @@ JobInfo JobDaemon::info_locked_(std::uint64_t ticket, const Record& record) cons
   info.engine = record.job.engine();
   info.error = record.job.error();
   info.attempts = record.job.attempts();
-  if (status == svc::JobStatus::Done) info.result = record.job.result();
+  if (with_result && status == svc::JobStatus::Done) info.result = record.job.result();
   return info;
 }
 
@@ -159,7 +160,14 @@ JobInfo JobDaemon::info(const std::string& tenant, std::uint64_t ticket) const {
   MutexLock lock(mutex_);
   const auto it = records_.find(ticket);
   if (it == records_.end() || it->second.tenant != tenant) return JobInfo{};
-  return info_locked_(ticket, it->second);
+  return info_locked_(ticket, it->second, true);
+}
+
+JobInfo JobDaemon::status(const std::string& tenant, std::uint64_t ticket) const {
+  MutexLock lock(mutex_);
+  const auto it = records_.find(ticket);
+  if (it == records_.end() || it->second.tenant != tenant) return JobInfo{};
+  return info_locked_(ticket, it->second, false);
 }
 
 bool JobDaemon::wait_for(const std::string& tenant, std::uint64_t ticket,
@@ -245,7 +253,7 @@ void JobDaemon::job_settled_(std::uint64_t ticket) {
 }
 
 JobInfo JobDaemon::settle_locked_(std::uint64_t ticket, const Record& record) {
-  JobInfo info = info_locked_(ticket, record);
+  JobInfo info = info_locked_(ticket, record, true);
   try {
     store_.append_settle(ticket, info.status);
     if (store_.settled_records() >= config_.compact_after_settles) store_.compact();

@@ -114,6 +114,9 @@ class JobDaemon {
 
   /// Tenant-scoped job snapshot (see JobInfo::known).
   JobInfo info(const std::string& tenant, std::uint64_t ticket) const QUML_EXCLUDES(mutex_);
+  /// info() without the result: the view status replies and ownership
+  /// checks need, which never copies a settled job's counts or metadata.
+  JobInfo status(const std::string& tenant, std::uint64_t ticket) const QUML_EXCLUDES(mutex_);
 
   /// Blocks until the job settles (or `timeout` passes -> false).  Unknown
   /// or foreign tickets return true immediately (their info() stays unknown).
@@ -176,7 +179,8 @@ class JobDaemon {
   /// Marks a record settled: settle record, counters, retention eviction
   /// (which may erase `record` — use the returned snapshot).
   JobInfo settle_locked_(std::uint64_t ticket, const Record& record) QUML_REQUIRES(mutex_);
-  JobInfo info_locked_(std::uint64_t ticket, const Record& record) const QUML_REQUIRES(mutex_);
+  JobInfo info_locked_(std::uint64_t ticket, const Record& record, bool with_result) const
+      QUML_REQUIRES(mutex_);
 
   DaemonConfig config_;
 

@@ -472,7 +472,7 @@ void Server::handle_payload_(Session& session, const std::string& payload) {
   const auto ticket = static_cast<std::uint64_t>(request.get_int("ticket", 0));
 
   if (op == "status") {
-    const JobInfo info = daemon_.info(session.tenant, ticket);
+    const JobInfo info = daemon_.status(session.tenant, ticket);
     if (!info.known) {
       enqueue_response_(session,
                         error_response("UNKNOWN_JOB", "no such ticket for this tenant"));
@@ -492,8 +492,12 @@ void Server::handle_payload_(Session& session, const std::string& payload) {
 
   if (op == "result") {
     // Ownership check before any waiter exists: foreign tickets can never
-    // have a deferred response queued for this session.
-    JobInfo info = daemon_.info(session.tenant, ticket);
+    // have a deferred response queued for this session.  The result is
+    // copied only by the snapshot a reply is encoded from: a non-waiting
+    // request answers from this one, a waiting one from the re-check below.
+    const bool wait = request.get_bool("wait", true);
+    JobInfo info =
+        wait ? daemon_.status(session.tenant, ticket) : daemon_.info(session.tenant, ticket);
     if (!info.known) {
       enqueue_response_(session,
                         error_response("UNKNOWN_JOB", "no such ticket for this tenant"));
@@ -503,7 +507,6 @@ void Server::handle_payload_(Session& session, const std::string& payload) {
       return snapshot.status == "DONE" || snapshot.status == "FAILED" ||
              snapshot.status == "CANCELLED";
     };
-    const bool wait = request.get_bool("wait", true);
     if (!wait) {
       if (settled(info)) {
         enqueue_response_(session, result_response(info));

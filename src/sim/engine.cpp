@@ -100,7 +100,7 @@ FusionOptions Engine::fusion_options() const {
     options.max_structured_qubits = 4;
     return options;
   }
-  return FusionOptions::from_env();
+  return {};
 }
 
 std::unique_ptr<SimState> Engine::run_state(const Circuit& circuit) const {
@@ -117,7 +117,7 @@ Statevector Engine::run_statevector(const Circuit& circuit) const {
   StateConfig dense;
   dense.representation = StateRep::Statevector;
   std::unique_ptr<SimState> state = make_sim_state(circuit.num_qubits(), dense);
-  apply_fused(*state, fuse_unitaries(circuit, FusionOptions::from_env()));
+  apply_fused(*state, fuse_unitaries(circuit));
   return std::move(static_cast<Statevector&>(*state));
 }
 

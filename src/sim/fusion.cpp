@@ -1,10 +1,7 @@
 #include "sim/fusion.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
-#include <system_error>
+#include <array>
 
 #include "sim/statevector.hpp"  // kernel caps for clamp_options
 #include "util/errors.hpp"
@@ -24,7 +21,7 @@ constexpr double kSweepOverhead = 0.02;
 constexpr double kMergeSlack = 0.05;
 /// Structured (diagonal/monomial) blocks amortize: once a block exists, every
 /// further absorption is nearly free, but the greedy pairwise step often
-/// starts at a small loss (two CXs cost less natively than one 3q monomial
+/// starts at a small loss (two CXs cost less alone than one 3q monomial
 /// sweep — five do not).  Seeding a structured block may therefore regress by
 /// this much; dense blocks get no such credit because their cost doubles per
 /// absorbed qubit.
@@ -43,7 +40,7 @@ enum class MatClass { Diagonal, Monomial, Dense };
 
 MatClass join(MatClass a, MatClass b) { return a > b ? a : b; }
 
-/// Sweep cost of a dense k-qubit block (native and fused coincide): the
+/// Sweep cost of a dense k-qubit block (alone and fused coincide): the
 /// kernel pays O(2^k) multiply-adds per amplitude, with the 1q case pinned to
 /// the unit the whole model is expressed in.
 double dense_cost(int k) {
@@ -63,21 +60,46 @@ struct Unit {
   int k() const noexcept { return static_cast<int>(qubits.size()); }
 };
 
-/// Exact structural classification from the gate's matrix: zero patterns are
-/// exact by construction (gate_matrix uses exact constants), so no tolerance
-/// is involved and classification never mislabels a unitary.
-Unit classify(const Instruction& inst) {
-  Unit u;
-  u.qubits = inst.qubits;
+/// A gate's matrix over its support sorted ascending (the layout every block
+/// and op carries; the reindexing only moves entries), classified exactly:
+/// zero patterns are exact by construction (gate_matrix uses exact
+/// constants), so no tolerance is involved and classification never
+/// mislabels a unitary.  Gates act on at most three qubits, so every table
+/// but a dense matrix is fixed-size.
+struct GateShape {
+  MatClass cls = MatClass::Diagonal;
+  int k = 0;
+  std::array<int, 3> qubits{};  // ascending
+  std::array<int, 8> src{};     // Monomial: output row m reads input src[m]
+  std::array<c64, 8> entry{};   // Diagonal: the diagonal; Monomial: the phases
+  std::vector<c64> dense;       // Dense: 2^k x 2^k row-major
+};
+
+GateShape shape_of(const Instruction& inst) {
+  GateShape s;
+  s.k = gate_arity(inst.gate);
+  if (static_cast<int>(inst.qubits.size()) != s.k || s.k > 3)
+    throw ValidationError(std::string("gate '") + gate_name(inst.gate) + "' expects " +
+                          std::to_string(s.k) + " qubit operand(s)");
+  std::copy(inst.qubits.begin(), inst.qubits.end(), s.qubits.begin());
+  std::sort(s.qubits.begin(), s.qubits.begin() + s.k);
+  // at[M]: the gate's own local index for sorted local index M (operand j's
+  // bit sits at its rank among the operands).
+  const std::size_t n = std::size_t{1} << s.k;
+  std::array<std::size_t, 8> at{};
+  for (int j = 0; j < s.k; ++j) {
+    int rank = 0;
+    for (int i = 0; i < s.k; ++i) rank += inst.qubits[i] < inst.qubits[j] ? 1 : 0;
+    for (std::size_t M = 0; M < n; ++M)
+      if ((M >> rank) & 1u) at[M] |= std::size_t{1} << j;
+  }
   std::vector<c64> m = gate_matrix(inst.gate, inst.params.data());
-  const std::size_t n = std::size_t{1} << u.qubits.size();
-  std::vector<int> src(n, 0);
-  std::vector<c64> ph(n);
+  const auto entry = [&](std::size_t r, std::size_t c) { return m[at[r] * n + at[c]]; };
   bool mono = true, diag = true;
   for (std::size_t r = 0; r < n && mono; ++r) {
     int nz = -1;
     for (std::size_t c = 0; c < n; ++c) {
-      if (m[r * n + c] == kZero) continue;
+      if (entry(r, c) == kZero) continue;
       if (nz >= 0) {
         mono = false;
         break;
@@ -88,20 +110,42 @@ Unit classify(const Instruction& inst) {
       mono = false;
       break;
     }
-    src[r] = nz;
-    ph[r] = m[r * n + static_cast<std::size_t>(nz)];
+    s.src[r] = nz;
+    s.entry[r] = entry(r, static_cast<std::size_t>(nz));
     if (static_cast<std::size_t>(nz) != r) diag = false;
   }
-  if (mono && diag) {
-    u.cls = MatClass::Diagonal;
-    u.diag = std::move(ph);
-  } else if (mono) {
-    u.cls = MatClass::Monomial;
-    u.src = std::move(src);
-    u.phase = std::move(ph);
+  if (mono) {
+    s.cls = diag ? MatClass::Diagonal : MatClass::Monomial;
   } else {
-    u.cls = MatClass::Dense;
-    u.dense = std::move(m);
+    s.cls = MatClass::Dense;
+    if (std::is_sorted(inst.qubits.begin(), inst.qubits.end())) {
+      s.dense = std::move(m);
+    } else {
+      s.dense.resize(n * n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c) s.dense[r * n + c] = entry(r, c);
+    }
+  }
+  return s;
+}
+
+Unit classify(const Instruction& inst) {
+  GateShape s = shape_of(inst);
+  const std::ptrdiff_t n = std::ptrdiff_t{1} << s.k;
+  Unit u;
+  u.qubits.assign(s.qubits.begin(), s.qubits.begin() + s.k);
+  u.cls = s.cls;
+  switch (s.cls) {
+    case MatClass::Diagonal:
+      u.diag.assign(s.entry.begin(), s.entry.begin() + n);
+      break;
+    case MatClass::Monomial:
+      u.src.assign(s.src.begin(), s.src.begin() + n);
+      u.phase.assign(s.entry.begin(), s.entry.begin() + n);
+      break;
+    case MatClass::Dense:
+      u.dense = std::move(s.dense);
+      break;
   }
   return u;
 }
@@ -226,6 +270,55 @@ Unit merge_units(const std::vector<const Unit*>& parts, std::vector<int> Q, MatC
   return acc;
 }
 
+Mat2 mat2_of(const Unit& u) {
+  Mat2 m{};
+  if (u.cls == MatClass::Monomial) {
+    m.m[0][u.src[0]] = u.phase[0];
+    m.m[1][u.src[1]] = u.phase[1];
+  } else {
+    m.m[0][0] = u.dense[0];
+    m.m[0][1] = u.dense[1];
+    m.m[1][0] = u.dense[2];
+    m.m[1][1] = u.dense[3];
+  }
+  return m;
+}
+
+/// The structure-kernel op that applies `u` (support sorted ascending).
+FusedOp to_op(Unit u, std::vector<std::int32_t> sources) {
+  FusedOp op;
+  op.sources = std::move(sources);
+  if (u.k() == 1) {
+    op.qubit = u.qubits[0];
+    if (u.cls == MatClass::Diagonal) {
+      op.kind = FusedOp::Kind::Diag1Q;
+      op.d0 = u.diag[0];
+      op.d1 = u.diag[1];
+    } else {
+      op.kind = FusedOp::Kind::Unitary1Q;
+      op.u = mat2_of(u);
+    }
+    return op;
+  }
+  op.qubits = std::move(u.qubits);
+  switch (u.cls) {
+    case MatClass::Diagonal:
+      op.kind = FusedOp::Kind::DiagKQ;
+      op.table = std::move(u.diag);
+      break;
+    case MatClass::Monomial:
+      op.kind = FusedOp::Kind::MonomialKQ;
+      op.perm = std::move(u.src);
+      op.table = std::move(u.phase);
+      break;
+    case MatClass::Dense:
+      op.kind = FusedOp::Kind::UnitaryKQ;
+      op.table = std::move(u.dense);
+      break;
+  }
+  return op;
+}
+
 double frac_nonunit(const std::vector<c64>& d) {
   std::size_t n = 0;
   for (const c64& v : d)
@@ -244,9 +337,10 @@ double frac_moved(const Unit& u) {
 /// Calibrated against the measured kernels (bench_sim_scaling); only merge
 /// *choices* depend on these numbers, never correctness.
 ///
-/// Cost of the native kernel apply() would pick for a lone instruction: the
-/// diagonal kernels skip unit factors (CP touches dim/4), the controlled/swap
-/// kernels touch dim/2, CCX/CSWAP touch dim/4.
+/// Cost of the kernel sub-path a lone instruction runs on: the diagonal
+/// kernels skip unit factors (CP scales one quadrant, dim/4), and a lone
+/// monomial is a single transposition on the pair walk (CX/SWAP touch dim/2,
+/// CCX/CSWAP dim/4).
 double unit_cost_native(const Unit& u) {
   switch (u.cls) {
     case MatClass::Diagonal:
@@ -291,7 +385,6 @@ struct Block {
   Unit unit;  // qubits sorted ascending
   std::size_t gates = 0;
   std::size_t oneq = 0, multiq = 0;
-  Instruction first{};  // the original instruction while gates == 1
   std::vector<std::int32_t> sources;  // input-program indices, application order
 };
 
@@ -304,14 +397,16 @@ class Fuser {
     if (stats_) ++stats_->gates_in;
     Unit g = classify(inst);
 
+    // Operand order, not the unit's sorted support: the overlap order fixes
+    // the order blocks compose in, and so the rounding of merged tables.
     std::vector<int> overlap;
-    for (const int q : g.qubits) {
+    for (const int q : inst.qubits) {
       const int b = wire_[static_cast<std::size_t>(q)];
       if (b >= 0 && std::find(overlap.begin(), overlap.end(), b) == overlap.end())
         overlap.push_back(b);
     }
     if (overlap.empty()) {
-      open_or_emit(inst, std::move(g), index);
+      open_or_emit(std::move(g), index);
       return;
     }
 
@@ -328,7 +423,7 @@ class Fuser {
 
     const int cap = cap_for(cls);
     bool cap_reject = static_cast<int>(Q.size()) > cap;
-    if (!cap_reject && try_merge(inst, g, overlap, std::move(Q), cls, {}, index)) return;
+    if (!cap_reject && try_merge(g, overlap, std::move(Q), cls, {}, index)) return;
 
     // Partial retry for a structured gate tangled with dense blocks: flushing
     // the dense ones (always order-safe) may leave a structured merge that
@@ -351,7 +446,7 @@ class Fuser {
         std::sort(Q2.begin(), Q2.end());
         Q2.erase(std::unique(Q2.begin(), Q2.end()), Q2.end());
         if (static_cast<int>(Q2.size()) <= cap_for(cls2) &&
-            try_merge(inst, g, structured, std::move(Q2), cls2, dense, index))
+            try_merge(g, structured, std::move(Q2), cls2, dense, index))
           return;
       }
     }
@@ -367,7 +462,7 @@ class Fuser {
     for (const int b : overlap)
       all_diag = all_diag && blocks_[static_cast<std::size_t>(b)].unit.cls == MatClass::Diagonal;
     if (all_diag && (!cap_reject || g.k() > cap_for(g.cls))) {
-      emit_other(inst, {index});
+      emit_lone(std::move(g), index);
       return;
     }
 
@@ -375,7 +470,7 @@ class Fuser {
     for (const int b : overlap) to_flush.push_back(std::move(blocks_[static_cast<std::size_t>(b)]));
     remove_blocks(overlap);
     for (Block& blk : to_flush) flush(blk);
-    open_or_emit(inst, std::move(g), index);
+    open_or_emit(std::move(g), index);
   }
 
   void barrier() { flush_all(); }
@@ -401,7 +496,7 @@ class Fuser {
   /// Attempts to replace the `overlap` blocks and the gate with one merged
   /// block over (Q, cls); on success the `pre_flush` blocks are flushed first
   /// (flushing is always order-safe) and the merged block takes their wires.
-  bool try_merge(const Instruction& inst, const Unit& g, const std::vector<int>& overlap,
+  bool try_merge(const Unit& g, const std::vector<int>& overlap,
                  std::vector<int> Q, MatClass cls, const std::vector<int>& pre_flush,
                  std::int32_t index) {
     double parts_cost = unit_cost_native(g);
@@ -419,7 +514,6 @@ class Fuser {
     Block nb;
     nb.unit = std::move(merged);
     nb.gates = 1;
-    nb.first = inst;
     if (g.k() == 1) nb.oneq = 1; else nb.multiq = 1;
     for (const int b : overlap) {
       const Block& blk = blocks_[static_cast<std::size_t>(b)];
@@ -451,7 +545,7 @@ class Fuser {
   /// this is how a QFT cascade tail absorbs the next wire's cascade head and
   /// how an rz/rzz layer over disjoint pairs collapses into one sweep.  Most
   /// recently opened block first (cascade locality).
-  bool merge_into_disjoint_diag(const Instruction& inst, const Unit& g, std::int32_t index) {
+  bool merge_into_disjoint_diag(const Unit& g, std::int32_t index) {
     if (g.cls != MatClass::Diagonal || g.k() > opt_.max_structured_qubits) return false;
     for (int b = static_cast<int>(blocks_.size()) - 1; b >= 0; --b) {
       Block& blk = blocks_[static_cast<std::size_t>(b)];
@@ -469,29 +563,20 @@ class Fuser {
       if (g.k() == 1) ++blk.oneq; else ++blk.multiq;
       blk.sources.push_back(index);
       for (const int q : blk.unit.qubits) wire_[static_cast<std::size_t>(q)] = b;
-      (void)inst;
       return true;
     }
     return false;
   }
 
-  void open_or_emit(const Instruction& inst, Unit g, std::int32_t index) {
-    if (merge_into_disjoint_diag(inst, g, index)) return;
+  void open_or_emit(Unit g, std::int32_t index) {
+    if (merge_into_disjoint_diag(g, index)) return;
     if (g.k() > cap_for(g.cls)) {
-      emit_other(inst, {index});
+      emit_lone(std::move(g), index);
       return;
     }
     Block b;
-    if (g.k() >= 2 && !std::is_sorted(g.qubits.begin(), g.qubits.end())) {
-      std::vector<int> Q = g.qubits;
-      std::sort(Q.begin(), Q.end());
-      const std::vector<const Unit*> parts{&g};
-      b.unit = merge_units(parts, std::move(Q), g.cls);
-    } else {
-      b.unit = std::move(g);
-    }
+    b.unit = std::move(g);
     b.gates = 1;
-    b.first = inst;
     b.sources = {index};
     if (b.unit.k() == 1) b.oneq = 1; else b.multiq = 1;
     insert_block(std::move(b));
@@ -512,69 +597,31 @@ class Fuser {
       for (const int q : blocks_[i].unit.qubits) wire_[static_cast<std::size_t>(q)] = static_cast<int>(i);
   }
 
-  void emit_other(const Instruction& inst, std::vector<std::int32_t> sources) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::Other;
-    op.inst = inst;
-    op.sources = std::move(sources);
+  void emit(FusedOp op) {
     ops_.push_back(std::move(op));
     if (stats_) ++stats_->ops_out;
   }
 
+  /// A gate that joins no block runs as the op its own structure gives, and
+  /// counts only in ops_out.
+  void emit_lone(Unit g, std::int32_t index) { emit(to_op(std::move(g), {index})); }
+
   void flush(Block& b) {
-    Unit& u = b.unit;
     // An exactly-identity accumulation (e.g. rz(t); rz(-t)) vanishes — unless
     // a sweep plan needs the block to survive for re-binding.
-    if (!opt_.keep_identity_blocks && is_exact_identity(u)) return;
-    FusedOp op;
-    op.sources = std::move(b.sources);
-    if (u.k() == 1) {
-      op.qubit = u.qubits[0];
-      if (u.cls == MatClass::Diagonal) {
-        op.kind = FusedOp::Kind::Diag1Q;
-        op.d0 = u.diag[0];
-        op.d1 = u.diag[1];
-        if (stats_) ++stats_->diag_runs;
-      } else {
-        op.kind = FusedOp::Kind::Unitary1Q;
-        op.u = mat2_of(u);
-      }
-      if (stats_) {
-        ++stats_->ops_out;
-        stats_->fused_1q += b.gates;
-      }
-      ops_.push_back(std::move(op));
-      return;
-    }
-    if (b.gates == 1) {
-      emit_other(b.first, std::move(op.sources));  // lone multi-q gate keeps its native kernel
-      return;
-    }
-    op.qubits = u.qubits;
-    switch (u.cls) {
-      case MatClass::Diagonal:
-        op.kind = FusedOp::Kind::DiagKQ;
-        op.table = std::move(u.diag);
-        if (stats_) ++stats_->diag_runs;
-        break;
-      case MatClass::Monomial:
-        op.kind = FusedOp::Kind::MonomialKQ;
-        op.perm = std::move(u.src);
-        op.table = std::move(u.phase);
-        break;
-      case MatClass::Dense:
-        op.kind = FusedOp::Kind::UnitaryKQ;
-        op.table = std::move(u.dense);
-        break;
-    }
-    if (stats_) {
-      ++stats_->ops_out;
-      ++stats_->kq_blocks;
-      stats_->max_block_qubits = std::max(stats_->max_block_qubits, u.k());
+    if (!opt_.keep_identity_blocks && is_exact_identity(b.unit)) return;
+    const int k = b.unit.k();
+    // A block holding one multi-qubit gate is that gate alone (emit_lone).
+    if (stats_ && !(k >= 2 && b.gates == 1)) {
+      if (b.unit.cls == MatClass::Diagonal) ++stats_->diag_runs;
       stats_->fused_1q += b.oneq;
       stats_->fused_multiq += b.multiq;
+      if (k >= 2) {
+        ++stats_->kq_blocks;
+        stats_->max_block_qubits = std::max(stats_->max_block_qubits, k);
+      }
     }
-    ops_.push_back(std::move(op));
+    emit(to_op(std::move(b.unit), std::move(b.sources)));
   }
 
   void flush_all() {
@@ -582,20 +629,6 @@ class Fuser {
     pending.swap(blocks_);
     std::fill(wire_.begin(), wire_.end(), -1);
     for (Block& b : pending) flush(b);
-  }
-
-  static Mat2 mat2_of(const Unit& u) {
-    Mat2 m{};
-    if (u.cls == MatClass::Monomial) {
-      m.m[0][u.src[0]] = u.phase[0];
-      m.m[1][u.src[1]] = u.phase[1];
-    } else {
-      m.m[0][0] = u.dense[0];
-      m.m[0][1] = u.dense[1];
-      m.m[1][0] = u.dense[2];
-      m.m[1][1] = u.dense[3];
-    }
-    return m;
   }
 
   std::vector<Block> blocks_;  // pairwise-disjoint supports
@@ -612,28 +645,7 @@ FusionOptions clamp_options(FusionOptions o) {
   return o;
 }
 
-int env_int(const char* name, int fallback) {
-  const char* e = std::getenv(name);
-  if (e == nullptr || *e == '\0') return fallback;
-  // from_chars into int both demands full-string consumption and range-checks
-  // the value: the strtol predecessor cast long to int unchecked, so e.g.
-  // "4294967298" silently wrapped to 2 on LP64.
-  int v = 0;
-  const char* end = e + std::strlen(e);
-  const auto [p, ec] = std::from_chars(e, end, v, 10);
-  if (ec != std::errc() || p != end) return fallback;
-  return v;
-}
-
 }  // namespace
-
-FusionOptions FusionOptions::from_env() {
-  FusionOptions o;
-  o.max_qubits = env_int("QUML_FUSION_MAX_QUBITS", o.max_qubits);
-  o.max_structured_qubits =
-      env_int("QUML_FUSION_MAX_STRUCTURED_QUBITS", o.max_structured_qubits);
-  return o;
-}
 
 std::vector<FusedOp> fuse_unitaries(const std::vector<Instruction>& program, int num_qubits,
                                     const FusionOptions& options, FusionStats* stats) {
@@ -662,7 +674,7 @@ std::vector<FusedOp> fuse_unitaries(const std::vector<Instruction>& program, int
 
 std::vector<FusedOp> fuse_unitaries(const std::vector<Instruction>& program, int num_qubits,
                                     FusionStats* stats) {
-  return fuse_unitaries(program, num_qubits, FusionOptions::from_env(), stats);
+  return fuse_unitaries(program, num_qubits, FusionOptions{}, stats);
 }
 
 std::vector<FusedOp> fuse_unitaries(const Circuit& circuit, const FusionOptions& options,
@@ -671,7 +683,54 @@ std::vector<FusedOp> fuse_unitaries(const Circuit& circuit, const FusionOptions&
 }
 
 std::vector<FusedOp> fuse_unitaries(const Circuit& circuit, FusionStats* stats) {
-  return fuse_unitaries(circuit, FusionOptions::from_env(), stats);
+  return fuse_unitaries(circuit, FusionOptions{}, stats);
+}
+
+void fuse_gate(const Instruction& inst, FusedOp& op) {
+  if (inst.is_parameterized())
+    throw ValidationError("unbound symbolic parameter in apply(); bind the circuit first");
+  if (!gate_is_unitary(inst.gate))
+    throw ValidationError("non-unitary instruction in apply(); use the engine");
+  op.sources.clear();
+  if (inst.qubits.size() == 1 && gate_arity(inst.gate) == 1) {
+    // The Diag1Q/Unitary1Q op to_op(classify(inst)) gives, read straight off
+    // the 2x2.
+    const Mat2 m = gate_matrix_1q(inst.gate, inst.params.data());
+    op.qubit = inst.qubits[0];
+    op.qubits.clear();
+    op.table.clear();
+    op.perm.clear();
+    if (m.m[0][1] == kZero && m.m[1][0] == kZero) {
+      op.kind = FusedOp::Kind::Diag1Q;
+      op.d0 = m.m[0][0];
+      op.d1 = m.m[1][1];
+    } else {
+      op.kind = FusedOp::Kind::Unitary1Q;
+      op.u = m;
+    }
+    return;
+  }
+  // The KQ op to_op(classify(inst)) gives, assigned into op's own storage.
+  const GateShape s = shape_of(inst);
+  const std::ptrdiff_t n = std::ptrdiff_t{1} << s.k;
+  op.qubit = -1;
+  op.qubits.assign(s.qubits.begin(), s.qubits.begin() + s.k);
+  op.perm.clear();
+  switch (s.cls) {
+    case MatClass::Diagonal:
+      op.kind = FusedOp::Kind::DiagKQ;
+      op.table.assign(s.entry.begin(), s.entry.begin() + n);
+      break;
+    case MatClass::Monomial:
+      op.kind = FusedOp::Kind::MonomialKQ;
+      op.perm.assign(s.src.begin(), s.src.begin() + n);
+      op.table.assign(s.entry.begin(), s.entry.begin() + n);
+      break;
+    case MatClass::Dense:
+      op.kind = FusedOp::Kind::UnitaryKQ;
+      op.table.assign(s.dense.begin(), s.dense.end());
+      break;
+  }
 }
 
 void apply_fused_op(SimState& state, const FusedOp& op) {
@@ -691,9 +750,6 @@ void apply_fused_op(SimState& state, const FusedOp& op) {
     case FusedOp::Kind::MonomialKQ:
       state.apply_monomial(op.qubits, op.perm.data(), op.table.data());
       break;
-    case FusedOp::Kind::Other:
-      state.apply(op.inst);
-      break;
   }
 }
 
@@ -708,10 +764,6 @@ void rebind_fused_op(FusedOp& op, const std::vector<Instruction>& program) {
     return program.at(static_cast<std::size_t>(s));
   };
   switch (op.kind) {
-    case FusedOp::Kind::Other:
-      // A passthrough op is its single source instruction with fresh params.
-      op.inst.params = inst_at(op.sources[0]).params;
-      return;
     case FusedOp::Kind::Unitary1Q: {
       Mat2 acc = Mat2::identity();
       for (const std::int32_t s : op.sources)

@@ -7,9 +7,11 @@
 // one sweep over the 2^n amplitudes per *block* instead of per gate.  Blocks
 // track their matrix structure exactly — diagonal ⊂ monomial (permutation
 // with phases) ⊂ dense — and every merge is decided by a sweep-cost model, so
-// fusion never replaces cheap native kernels with a more expensive dense
-// matrix.  Single-qubit runs and all-diagonal runs keep their dedicated
-// specializations, and a diagonal accumulation still commutes through
+// fusion never replaces the cheap sub-path a lone gate runs on (a CP scales
+// one quadrant, a CX exchanges one pair of rows) with a more expensive
+// block.  Every op is one of the structure kinds below: a gate left alone is
+// emitted as the op its own structure gives (fuse_gate), so the kernels are
+// the only execution path.  A diagonal accumulation still commutes through
 // diagonal gates (CZ/CP/CRZ/RZZ) that cannot be merged outright.
 //
 // Fusion is exact: matrices are composed by qubit-reindexed embedding and
@@ -43,10 +45,6 @@ struct FusionOptions {
   /// re-bound to other parameter values (applying a kept identity diagonal
   /// costs one skipped sweep, nothing more).
   bool keep_identity_blocks = false;
-
-  /// Defaults, with QUML_FUSION_MAX_QUBITS and
-  /// QUML_FUSION_MAX_STRUCTURED_QUBITS environment overrides applied.
-  static FusionOptions from_env();
 };
 
 /// One step of a fused program.
@@ -57,16 +55,14 @@ struct FusedOp {
     UnitaryKQ,   ///< dense 2^k x 2^k unitary on `qubits` (row-major `table`)
     DiagKQ,      ///< 2^k diagonal `table` on `qubits`
     MonomialKQ,  ///< permutation `perm` with phases `table` on `qubits`
-    Other,       ///< passthrough instruction (native kernel)
   };
-  Kind kind = Kind::Other;
+  Kind kind = Kind::Unitary1Q;
   int qubit = -1;
   Mat2 u{};                        // Unitary1Q
   c64 d0{1.0, 0.0}, d1{1.0, 0.0};  // Diag1Q
   std::vector<int> qubits;         // KQ kinds: sorted ascending support
   std::vector<c64> table;          // UnitaryKQ: 2^k*2^k; DiagKQ/MonomialKQ: 2^k
   std::vector<int> perm;           // MonomialKQ: src local index per output row
-  Instruction inst{};              // Other
   /// Indices (into the fused input program) of the instructions this op was
   /// composed from, in application order.  This is the provenance a sweep
   /// plan needs to recompute only the angle-dependent tables per binding
@@ -88,7 +84,7 @@ struct FusionStats {
 /// ValidationError on Measure/Reset — the engine splits those out first).
 std::vector<FusedOp> fuse_unitaries(const std::vector<Instruction>& program, int num_qubits,
                                     const FusionOptions& options, FusionStats* stats = nullptr);
-/// Overload using FusionOptions::from_env().
+/// Overload using the default FusionOptions{}.
 std::vector<FusedOp> fuse_unitaries(const std::vector<Instruction>& program, int num_qubits,
                                     FusionStats* stats = nullptr);
 
@@ -96,6 +92,14 @@ std::vector<FusedOp> fuse_unitaries(const std::vector<Instruction>& program, int
 std::vector<FusedOp> fuse_unitaries(const Circuit& circuit, const FusionOptions& options,
                                     FusionStats* stats = nullptr);
 std::vector<FusedOp> fuse_unitaries(const Circuit& circuit, FusionStats* stats = nullptr);
+
+/// Sets `op` to the op fuse_unitaries emits for `inst` when it fuses with
+/// nothing: Unitary1Q/Diag1Q on one qubit, DiagKQ/MonomialKQ over the sorted
+/// support otherwise, with empty `sources`.  The tables are assigned into
+/// op's own storage, so a caller refilling one op gate after gate stops
+/// allocating once they have grown.  Throws ValidationError for
+/// Measure/Reset/Barrier and unbound parameters.
+void fuse_gate(const Instruction& inst, FusedOp& op);
 
 /// Applies a fused program to any representation (SimState).
 void apply_fused(SimState& state, const std::vector<FusedOp>& ops);

@@ -54,13 +54,20 @@ Svd jacobi_svd_tall(const c64* a, int m, int n) {
         // Unitary W whose columns are the eigenvectors of the 2x2 Hermitian
         // Gram block [[app, apq], [conj(apq), aqq]]; G[:, {p,q}] <- G W makes
         // the pair orthogonal with the larger new norm landing on column p.
-        const double mid = 0.5 * (app + aqq);
+        // The eigenvector is (apq, beta) / nrm with beta = lam - app =
+        // root - dif >= 0 for the larger eigenvalue lam = mid + root.  It is
+        // formed from r = beta / |apq|: for app > aqq, root - dif cancels
+        // and keeps only ~sqrt(eps) of the angle (the sweeps then stall with
+        // the columns orthogonal to ~1e-8), and squaring |apq| underflows
+        // once a numerically-zero column has been rotated down to ~1e-160,
+        // which makes W non-unitary.
         const double dif = 0.5 * (app - aqq);
-        const double lam = mid + std::sqrt(dif * dif + std::norm(apq));
-        const double beta = lam - app;  // >= 0 for the larger eigenvalue
-        const double nrm = std::sqrt(std::norm(apq) + beta * beta);
-        const c64 w00 = apq / nrm;     // W(0,0); W(1,1) = conj(w00)
-        const double w10 = beta / nrm; // W(1,0), real; W(0,1) = -w10
+        const double mag = std::abs(apq);
+        const double root = std::hypot(dif, mag);
+        const double r = dif > 0.0 ? mag / (root + dif) : (root - dif) / mag;
+        const double h = std::hypot(1.0, r);
+        const c64 w00 = apq / mag / h;  // W(0,0); W(1,1) = conj(w00)
+        const double w10 = r / h;       // W(1,0), real; W(0,1) = -w10
         for (int i = 0; i < m; ++i) {
           const c64 x = gp[i], y = gq[i];
           gp[i] = x * w00 + y * w10;

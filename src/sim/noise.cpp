@@ -12,27 +12,28 @@ void NoiseModel::validate() const {
 
 namespace {
 
-/// Applies Pauli k (1 = X, 2 = Y, 3 = Z) to qubit q.
-void apply_pauli(Statevector& state, int q, std::uint64_t k) {
-  static const Gate kPauli[] = {Gate::I, Gate::X, Gate::Y, Gate::Z};
-  if (k == 0) return;
-  const Instruction inst{kPauli[k], {q}, {}, {}, {}};
-  state.apply(inst);
+/// Pauli k (1 = X, 2 = Y, 3 = Z) on qubit q is paulis[3 * q + k - 1]; k = 0
+/// is the identity.
+void apply_pauli(Statevector& state, const std::vector<FusedOp>& paulis, int q,
+                 std::uint64_t k) {
+  if (k != 0) apply_fused_op(state, paulis[3 * static_cast<std::size_t>(q) + k - 1]);
 }
 
 /// Depolarizing channel on one qubit: with probability p insert a uniformly
 /// random non-identity Pauli.
-void depolarize_1q(Statevector& state, int q, double p, Rng& rng) {
-  if (p > 0.0 && rng.next_double() < p) apply_pauli(state, q, 1 + rng.next_below(3));
+void depolarize_1q(Statevector& state, const std::vector<FusedOp>& paulis, int q, double p,
+                   Rng& rng) {
+  if (p > 0.0 && rng.next_double() < p) apply_pauli(state, paulis, q, 1 + rng.next_below(3));
 }
 
 /// Two-qubit depolarizing channel: with probability p insert one of the 15
 /// non-identity two-qubit Paulis uniformly.
-void depolarize_2q(Statevector& state, int a, int b, double p, Rng& rng) {
+void depolarize_2q(Statevector& state, const std::vector<FusedOp>& paulis, int a, int b,
+                   double p, Rng& rng) {
   if (p <= 0.0 || rng.next_double() >= p) return;
   const std::uint64_t pauli = 1 + rng.next_below(15);  // 1..15, skips II
-  apply_pauli(state, a, pauli & 3);
-  apply_pauli(state, b, (pauli >> 2) & 3);
+  apply_pauli(state, paulis, a, pauli & 3);
+  apply_pauli(state, paulis, b, (pauli >> 2) & 3);
 }
 
 }  // namespace
@@ -44,6 +45,17 @@ CountMap NoisyEngine::run_counts(const Circuit& circuit, std::int64_t shots, std
   if (circuit.num_clbits() <= 0 || circuit.num_clbits() > 63)
     throw ValidationError("noisy engine needs 1..63 clbits");
 
+  // Every gate's op, and every Pauli a channel can insert, is built once per
+  // run: the shot loop only replays them.
+  const std::vector<Instruction>& program = circuit.instructions();
+  std::vector<FusedOp> ops(program.size());
+  for (std::size_t i = 0; i < program.size(); ++i)
+    if (gate_is_unitary(program[i].gate)) fuse_gate(program[i], ops[i]);
+  const Gate pauli[] = {Gate::X, Gate::Y, Gate::Z};
+  std::vector<FusedOp> paulis(3 * static_cast<std::size_t>(circuit.num_qubits()));
+  for (std::size_t i = 0; i < paulis.size(); ++i)
+    fuse_gate(Instruction{pauli[i % 3], {static_cast<int>(i / 3)}, {}, {}, {}}, paulis[i]);
+
   CountMap counts;
   const Rng base(seed);
   for (std::int64_t shot = 0; shot < shots; ++shot) {
@@ -51,7 +63,8 @@ CountMap NoisyEngine::run_counts(const Circuit& circuit, std::int64_t shots, std
     Statevector state(circuit.num_qubits());
     std::uint64_t clbits = 0;
     bool measured = false;
-    for (const auto& inst : circuit.instructions()) {
+    for (std::size_t i = 0; i < program.size(); ++i) {
+      const Instruction& inst = program[i];
       switch (inst.gate) {
         case Gate::Barrier:
           break;
@@ -64,19 +77,21 @@ CountMap NoisyEngine::run_counts(const Circuit& circuit, std::int64_t shots, std
         }
         case Gate::Reset:
           state.reset_qubit(inst.qubits[0], rng);
-          depolarize_1q(state, inst.qubits[0], model.depolarizing_1q, rng);
+          depolarize_1q(state, paulis, inst.qubits[0], model.depolarizing_1q, rng);
           break;
         default: {
-          state.apply(inst);
+          apply_fused_op(state, ops[i]);
           if (inst.qubits.size() == 1) {
-            depolarize_1q(state, inst.qubits[0], model.depolarizing_1q, rng);
+            depolarize_1q(state, paulis, inst.qubits[0], model.depolarizing_1q, rng);
           } else if (inst.qubits.size() == 2) {
-            depolarize_2q(state, inst.qubits[0], inst.qubits[1], model.depolarizing_2q, rng);
+            depolarize_2q(state, paulis, inst.qubits[0], inst.qubits[1], model.depolarizing_2q,
+                          rng);
           } else {
             // 3q gates: apply the 2q channel pairwise (transpile first for
             // realistic targets; this keeps untranspiled circuits runnable).
-            depolarize_2q(state, inst.qubits[0], inst.qubits[1], model.depolarizing_2q, rng);
-            depolarize_1q(state, inst.qubits[2], model.depolarizing_1q, rng);
+            depolarize_2q(state, paulis, inst.qubits[0], inst.qubits[1], model.depolarizing_2q,
+                          rng);
+            depolarize_1q(state, paulis, inst.qubits[2], model.depolarizing_1q, rng);
           }
         }
       }

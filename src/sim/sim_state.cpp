@@ -1,8 +1,8 @@
 #include "sim/sim_state.hpp"
 
+#include "sim/fusion.hpp"
 #include "sim/mps.hpp"
 #include "sim/statevector.hpp"
-#include "util/errors.hpp"
 
 namespace quml::sim {
 
@@ -19,18 +19,12 @@ void SimState::apply_1q_layer(std::span<const std::pair<int, Mat2>> gates) {
 }
 
 void SimState::apply(const Instruction& inst) {
-  switch (inst.gate) {
-    case Gate::Measure:
-    case Gate::Reset:
-    case Gate::Barrier:
-      throw ValidationError("SimState::apply handles unitary gates only");
-    case Gate::I:
-      return;
-    default:
-      break;
-  }
-  const std::vector<c64> u = gate_matrix(inst.gate, inst.params.data());
-  apply_matrix(std::span<const int>(inst.qubits.data(), inst.qubits.size()), u.data());
+  if (inst.gate == Gate::Barrier) return;
+  // One op per thread, refilled in place: gate-by-gate callers (the unfused
+  // references) pay the gate's classification, not fresh tables per call.
+  thread_local FusedOp op;
+  fuse_gate(inst, op);
+  apply_fused_op(*this, op);
 }
 
 std::unique_ptr<SimState> make_sim_state(int num_qubits, const StateConfig& config) {

@@ -94,10 +94,12 @@ class SimState {
   /// becomes phase[m] * (previous amplitude at src[m]).
   virtual void apply_monomial(std::span<const int> qubits, const int* src,
                               const c64* phase) = 0;
-  /// Any unitary instruction (throws on Measure/Reset/Barrier).  Default:
-  /// gate_matrix() through apply_matrix(); the statevector overrides with its
-  /// native per-gate kernels.
-  virtual void apply(const Instruction& inst);
+  /// Any unitary instruction, run as the op the fusion pass emits for it
+  /// alone (sim::fuse_gate) on the kernels above: no representation has
+  /// per-gate kernels.  Barrier is a no-op; Measure, Reset and unbound
+  /// parameters throw ValidationError.  Callers replaying a gate many times
+  /// (trajectories) build its op once instead.
+  void apply(const Instruction& inst);
 
   // --- analysis --------------------------------------------------------------
   virtual double norm() const = 0;

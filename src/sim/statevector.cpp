@@ -1,7 +1,9 @@
 #include "sim/statevector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -34,16 +36,6 @@ inline std::uint64_t insert_zero_bit(std::uint64_t i, int p) noexcept {
   return ((i ^ low) << 1) | low;
 }
 
-/// Expands a compact counter to an index with zero bits at p0 < p1.
-inline std::uint64_t expand2(std::uint64_t i, int p0, int p1) noexcept {
-  return insert_zero_bit(insert_zero_bit(i, p0), p1);
-}
-
-/// Expands a compact counter to an index with zero bits at p0 < p1 < p2.
-inline std::uint64_t expand3(std::uint64_t i, int p0, int p1, int p2) noexcept {
-  return insert_zero_bit(expand2(i, p0, p1), p2);
-}
-
 /// Expands a compact counter to an index with zero bits at the k ascending
 /// positions ps[0..k).
 inline std::uint64_t expand_k(std::uint64_t i, const int* ps, int k) noexcept {
@@ -64,6 +56,56 @@ void parallel_chunks(std::int64_t total, Body body) {
                });
 }
 
+/// A K-qubit support as ascending bit positions.
+template <int K>
+using Support = std::array<int, K>;
+
+template <int K>
+Support<K> sorted_support(std::span<const int> qubits) {
+  Support<K> ps{};
+  std::copy_n(qubits.begin(), K, ps.begin());
+  std::sort(ps.begin(), ps.end());
+  return ps;
+}
+
+/// Amplitude offset of local index m over `qubits` (local bit j = qubits[j]).
+inline std::uint64_t local_offset(std::span<const int> qubits, std::size_t m) noexcept {
+  std::uint64_t o = 0;
+  for (std::size_t j = 0; j < qubits.size(); ++j)
+    if (m & (std::size_t{1} << j)) o |= 1ull << qubits[j];
+  return o;
+}
+
+/// Walks the dim/2^K base indices whose support bits are clear, calling
+/// body(base, len) for runs of `len` consecutive bases.  Runs are 2^ps[0]
+/// long, so a support whose lowest bit is <= 2 leaves runs too short to pay
+/// for the run bookkeeping: with `PerBase` it walks base by base (len 1),
+/// branch-free.  The pair kernels take that path; the scaling and dense
+/// bodies keep the run loop, because compiled per base their FMA
+/// contraction differs and results would move by an ulp.  Every pair,
+/// quadrant and half-state kernel below is an instance.
+template <int K, bool PerBase, typename Body>
+void walk_bases(std::uint64_t dim, Support<K> ps, Body body) {
+  const std::int64_t total = static_cast<std::int64_t>(dim >> K);
+  if (PerBase && ps[0] <= 2) {
+    parallel_chunks(total, [=](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i)
+        body(expand_k(static_cast<std::uint64_t>(i), ps.data(), K), std::int64_t{1});
+    });
+    return;
+  }
+  const std::uint64_t run = 1ull << ps[0];
+  parallel_chunks(total, [=](std::int64_t lo, std::int64_t hi) {
+    std::int64_t i = lo;
+    while (i < hi) {
+      const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
+      const std::int64_t len = std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
+      body(expand_k(static_cast<std::uint64_t>(i), ps.data(), K), len);
+      i += len;
+    }
+  });
+}
+
 /// Multiplies the contiguous complex run d[2*start .. 2*(start+len)) by f.
 inline void scale_run(double* d, std::uint64_t start, std::int64_t len, double fr,
                       double fi) noexcept {
@@ -75,73 +117,82 @@ inline void scale_run(double* d, std::uint64_t start, std::int64_t len, double f
   }
 }
 
-/// Multiplies every amplitude whose bit q equals `bitval` by f.  Iterates the
-/// dim/2 selected indices in contiguous runs of 2^q.
-void scale_half(double* d, std::uint64_t dim, int q, int bitval, c64 f) {
-  const std::uint64_t step = 1ull << q;
-  const std::uint64_t setmask = bitval ? step : 0ull;
+/// Multiplies every amplitude whose support bits read `setmask` by f (a half
+/// state for K = 1, a quadrant for K = 2).
+template <int K>
+void scale_where(double* d, std::uint64_t dim, Support<K> ps, std::uint64_t setmask, c64 f) {
   const double fr = f.real(), fi = f.imag();
-  parallel_chunks(static_cast<std::int64_t>(dim >> 1), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (step - 1);
-      const std::int64_t len =
-          std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(step - off));
-      scale_run(d, insert_zero_bit(static_cast<std::uint64_t>(i), q) | setmask, len, fr, fi);
-      i += len;
+  walk_bases<K, false>(dim, ps, [=](std::uint64_t base, std::int64_t len) {
+    scale_run(d, base | setmask, len, fr, fi);
+  });
+}
+
+/// The 2x2 `u` on every amplitude pair (base | xoff, base | yoff) of a K-bit
+/// support: x' = u00 x + u01 y, y' = u10 x + u11 y.
+template <int K>
+void pair_butterfly(double* d, std::uint64_t dim, Support<K> ps, std::uint64_t xoff,
+                    std::uint64_t yoff, const Mat2& u) {
+  const double u00r = u.m[0][0].real(), u00i = u.m[0][0].imag();
+  const double u01r = u.m[0][1].real(), u01i = u.m[0][1].imag();
+  const double u10r = u.m[1][0].real(), u10i = u.m[1][0].imag();
+  const double u11r = u.m[1][1].real(), u11i = u.m[1][1].imag();
+  walk_bases<K, true>(dim, ps, [=](std::uint64_t base, std::int64_t len) {
+    // The offsets differ in a support bit and len <= 2^ps[0], so the two
+    // streams never overlap: __restrict unlocks vectorization.
+    double* __restrict x = d + 2 * (base | xoff);
+    double* __restrict y = d + 2 * (base | yoff);
+    for (std::int64_t j = 0; j < 2 * len; j += 2) {
+      const double xr = x[j], xi = x[j + 1];
+      const double yr = y[j], yi = y[j + 1];
+      x[j] = u00r * xr - u00i * xi + u01r * yr - u01i * yi;
+      x[j + 1] = u00r * xi + u00i * xr + u01r * yi + u01i * yr;
+      y[j] = u10r * xr - u10i * xi + u11r * yr - u11i * yi;
+      y[j + 1] = u10r * xi + u10i * xr + u11r * yi + u11i * yr;
     }
   });
 }
 
-/// Multiplies every amplitude whose bits at qa/qb equal va/vb by f.  Iterates
-/// the dim/4 selected indices in contiguous runs of 2^min(qa, qb).
-void scale_quadrant(double* d, std::uint64_t dim, int qa, int va, int qb, int vb, c64 f) {
-  if (qa > qb) {
-    std::swap(qa, qb);
-    std::swap(va, vb);
+/// Swaps every amplitude pair (base | xoff, base | yoff): the pair walk's
+/// body for a transposition with unit phases, which moves data without
+/// arithmetic.
+template <int K>
+void pair_exchange(double* d, std::uint64_t dim, Support<K> ps, std::uint64_t xoff,
+                   std::uint64_t yoff) {
+  walk_bases<K, true>(dim, ps, [=](std::uint64_t base, std::int64_t len) {
+    double* __restrict x = d + 2 * (base | xoff);
+    double* __restrict y = d + 2 * (base | yoff);
+    for (std::int64_t j = 0; j < 2 * len; ++j) std::swap(x[j], y[j]);
+  });
+}
+
+/// Rows a and b of a K-qubit support exchanged with phases (row a becomes
+/// pa * row b, row b becomes pb * row a), every other row fixed: the pair
+/// walk for a single transposition.  Unit phases move data without
+/// arithmetic.
+template <int K>
+void apply_transposition(double* d, std::uint64_t dim, std::span<const int> qubits,
+                         std::size_t a, std::size_t b, c64 pa, c64 pb) {
+  const Support<K> ps = sorted_support<K>(qubits);
+  const std::uint64_t xoff = local_offset(qubits, a), yoff = local_offset(qubits, b);
+  if (pa == c64(1.0, 0.0) && pb == c64(1.0, 0.0)) {
+    pair_exchange<K>(d, dim, ps, xoff, yoff);
+    return;
   }
-  const std::uint64_t run = 1ull << qa;
-  const std::uint64_t setmask = (va ? (1ull << qa) : 0ull) | (vb ? (1ull << qb) : 0ull);
-  const double fr = f.real(), fi = f.imag();
-  parallel_chunks(static_cast<std::int64_t>(dim >> 2), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
-      const std::int64_t len = std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
-      scale_run(d, expand2(static_cast<std::uint64_t>(i), qa, qb) | setmask, len, fr, fi);
-      i += len;
-    }
-  });
-}
-
-/// Zeroes every amplitude whose bit q equals `bitval`.
-void zero_half(double* d, std::uint64_t dim, int q, int bitval) {
-  const std::uint64_t step = 1ull << q;
-  const std::uint64_t setmask = bitval ? step : 0ull;
-  parallel_chunks(static_cast<std::int64_t>(dim >> 1), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (step - 1);
-      const std::int64_t len =
-          std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(step - off));
-      std::fill_n(d + 2 * (insert_zero_bit(static_cast<std::uint64_t>(i), q) | setmask), 2 * len,
-                  0.0);
-      i += len;
-    }
-  });
+  Mat2 u{};
+  u.m[0][1] = pa;
+  u.m[1][0] = pb;
+  pair_butterfly<K>(d, dim, ps, xoff, yoff, u);
 }
 
 /// Per-local-index amplitude offsets of a k-qubit kernel support: offset[m]
-/// ORs 1<<qubits[j] for each set bit j of m.
+/// ORs 1<<qubits[j] for each set bit j of m.  Each entry extends the one
+/// without its lowest set bit: O(2^k) with no per-bit branches, which
+/// matters because the table is rebuilt per call and at k = 10 it would
+/// otherwise cost more than the sweep over a 12-qubit register.
 std::vector<std::uint64_t> local_offsets(std::span<const int> qubits) {
-  const int k = static_cast<int>(qubits.size());
-  std::vector<std::uint64_t> offs(std::size_t{1} << k);
-  for (std::size_t m = 0; m < offs.size(); ++m) {
-    std::uint64_t o = 0;
-    for (int j = 0; j < k; ++j)
-      if (m & (std::size_t{1} << j)) o |= 1ull << qubits[j];
-    offs[m] = o;
-  }
+  std::vector<std::uint64_t> offs(std::size_t{1} << qubits.size(), 0);
+  for (std::size_t m = 1; m < offs.size(); ++m)
+    offs[m] = offs[m & (m - 1)] | (1ull << qubits[static_cast<std::size_t>(std::countr_zero(m))]);
   return offs;
 }
 
@@ -212,58 +263,14 @@ void Statevector::check_qubit(int q) const {
 
 void Statevector::apply_1q(int q, const Mat2& u) {
   check_qubit(q);
-  const std::uint64_t step = 1ull << q;
-  const double u00r = u.m[0][0].real(), u00i = u.m[0][0].imag();
-  const double u01r = u.m[0][1].real(), u01i = u.m[0][1].imag();
-  const double u10r = u.m[1][0].real(), u10i = u.m[1][0].imag();
-  const double u11r = u.m[1][1].real(), u11i = u.m[1][1].imag();
-  double* d = reinterpret_cast<double*>(amps_.data());
-  if (step <= 4) {
-    // Tiny strides leave runs of at most `step` pairs, so the run-blocked
-    // loop below degenerates into per-run bookkeeping; direct per-pair
-    // bit-insertion indexing is branch-free and cheaper.
-    parallel_chunks(static_cast<std::int64_t>(dim() >> 1), [=](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        double* p0 = d + 2 * insert_zero_bit(static_cast<std::uint64_t>(i), q);
-        double* p1 = p0 + 2 * step;
-        const double xr = p0[0], xi = p0[1];
-        const double yr = p1[0], yi = p1[1];
-        p0[0] = u00r * xr - u00i * xi + u01r * yr - u01i * yi;
-        p0[1] = u00r * xi + u00i * xr + u01r * yi + u01i * yr;
-        p1[0] = u10r * xr - u10i * xi + u11r * yr - u11i * yi;
-        p1[1] = u10r * xi + u10i * xr + u11r * yi + u11i * yr;
-      }
-    });
-    return;
-  }
-  parallel_chunks(static_cast<std::int64_t>(dim() >> 1), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (step - 1);
-      const std::int64_t len =
-          std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(step - off));
-      // len <= step, so the two streams never overlap: __restrict unlocks
-      // vectorization of the butterfly.
-      double* __restrict p0 = d + 2 * insert_zero_bit(static_cast<std::uint64_t>(i), q);
-      double* __restrict p1 = p0 + 2 * step;
-      for (std::int64_t j = 0; j < 2 * len; j += 2) {
-        const double xr = p0[j], xi = p0[j + 1];
-        const double yr = p1[j], yi = p1[j + 1];
-        p0[j] = u00r * xr - u00i * xi + u01r * yr - u01i * yi;
-        p0[j + 1] = u00r * xi + u00i * xr + u01r * yi + u01i * yr;
-        p1[j] = u10r * xr - u10i * xi + u11r * yr - u11i * yi;
-        p1[j + 1] = u10r * xi + u10i * xr + u11r * yi + u11i * yr;
-      }
-      i += len;
-    }
-  });
+  pair_butterfly<1>(reinterpret_cast<double*>(amps_.data()), dim(), {q}, 0, 1ull << q, u);
 }
 
 void Statevector::apply_diag_1q(int q, c64 d0, c64 d1) {
   check_qubit(q);
   double* d = reinterpret_cast<double*>(amps_.data());
-  if (d0 != c64(1.0, 0.0)) scale_half(d, dim(), q, 0, d0);
-  if (d1 != c64(1.0, 0.0)) scale_half(d, dim(), q, 1, d1);
+  if (d0 != c64(1.0, 0.0)) scale_where<1>(d, dim(), {q}, 0, d0);
+  if (d1 != c64(1.0, 0.0)) scale_where<1>(d, dim(), {q}, 1ull << q, d1);
 }
 
 void Statevector::apply_1q_layer(std::span<const std::pair<int, Mat2>> gates) {
@@ -298,152 +305,6 @@ void Statevector::apply_1q_layer(std::span<const std::pair<int, Mat2>> gates) {
   if (i < gates.size()) apply_1q(gates[i].first, gates[i].second);
 }
 
-void Statevector::apply_controlled_1q(int control, int target, const Mat2& u) {
-  check_qubit(control);
-  check_qubit(target);
-  if (control == target) throw ValidationError("control equals target");
-  const std::uint64_t cmask = 1ull << control;
-  const std::uint64_t step = 1ull << target;
-  const int p0 = std::min(control, target);
-  const int p1 = std::max(control, target);
-  const std::uint64_t run = 1ull << p0;
-  const double u00r = u.m[0][0].real(), u00i = u.m[0][0].imag();
-  const double u01r = u.m[0][1].real(), u01i = u.m[0][1].imag();
-  const double u10r = u.m[1][0].real(), u10i = u.m[1][0].imag();
-  const double u11r = u.m[1][1].real(), u11i = u.m[1][1].imag();
-  double* d = reinterpret_cast<double*>(amps_.data());
-  // dim/4 pairs: control bit forced to 1, target bit 0 at the base index.
-  parallel_chunks(static_cast<std::int64_t>(dim() >> 2), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
-      const std::int64_t len = std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
-      double* __restrict p0p = d + 2 * (expand2(static_cast<std::uint64_t>(i), p0, p1) | cmask);
-      double* __restrict p1p = p0p + 2 * step;
-      for (std::int64_t j = 0; j < 2 * len; j += 2) {
-        const double xr = p0p[j], xi = p0p[j + 1];
-        const double yr = p1p[j], yi = p1p[j + 1];
-        p0p[j] = u00r * xr - u00i * xi + u01r * yr - u01i * yi;
-        p0p[j + 1] = u00r * xi + u00i * xr + u01r * yi + u01i * yr;
-        p1p[j] = u10r * xr - u10i * xi + u11r * yr - u11i * yi;
-        p1p[j + 1] = u10r * xi + u10i * xr + u11r * yi + u11i * yr;
-      }
-      i += len;
-    }
-  });
-}
-
-void Statevector::apply_cp(int control, int target, double lambda) {
-  check_qubit(control);
-  check_qubit(target);
-  if (control == target) throw ValidationError("control equals target");
-  const c64 phase = unit_phase(lambda);
-  if (phase == c64(1.0, 0.0)) return;
-  scale_quadrant(reinterpret_cast<double*>(amps_.data()), dim(), control, 1, target, 1, phase);
-}
-
-void Statevector::apply_swap(int a, int b) {
-  check_qubit(a);
-  check_qubit(b);
-  // Mirrors apply_rzz: equal operands are a caller bug, not a silent no-op
-  // (the circuit builder already rejects them at construction time).
-  if (a == b) throw ValidationError("swap operands must differ");
-  const int p0 = std::min(a, b);
-  const int p1 = std::max(a, b);
-  const std::uint64_t amask = 1ull << a;
-  const std::uint64_t bmask = 1ull << b;
-  const std::uint64_t run = 1ull << p0;
-  double* d = reinterpret_cast<double*>(amps_.data());
-  // dim/4 mismatched pairs: base has both operand bits clear; swap the
-  // (a=1,b=0) index with its (a=0,b=1) partner.
-  parallel_chunks(static_cast<std::int64_t>(dim() >> 2), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
-      const std::int64_t len = std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
-      const std::uint64_t base = expand2(static_cast<std::uint64_t>(i), p0, p1);
-      double* x = d + 2 * (base | amask);
-      double* y = d + 2 * (base | bmask);
-      for (std::int64_t j = 0; j < 2 * len; ++j) std::swap(x[j], y[j]);
-      i += len;
-    }
-  });
-}
-
-void Statevector::apply_rzz(int a, int b, double theta) {
-  check_qubit(a);
-  check_qubit(b);
-  if (a == b) throw ValidationError("rzz operands must differ");
-  const c64 same = unit_phase(-theta / 2.0);
-  const c64 diff = unit_phase(theta / 2.0);
-  double* d = reinterpret_cast<double*>(amps_.data());
-  if (same != c64(1.0, 0.0)) {
-    scale_quadrant(d, dim(), a, 0, b, 0, same);
-    scale_quadrant(d, dim(), a, 1, b, 1, same);
-  }
-  if (diff != c64(1.0, 0.0)) {
-    scale_quadrant(d, dim(), a, 0, b, 1, diff);
-    scale_quadrant(d, dim(), a, 1, b, 0, diff);
-  }
-}
-
-void Statevector::apply_ccx(int c0, int c1, int target) {
-  check_qubit(c0);
-  check_qubit(c1);
-  check_qubit(target);
-  if (c0 == c1 || c0 == target || c1 == target)
-    throw ValidationError("ccx operands must be distinct");
-  int p[3] = {c0, c1, target};
-  std::sort(p, p + 3);
-  const std::uint64_t controls = (1ull << c0) | (1ull << c1);
-  const std::uint64_t tmask = 1ull << target;
-  const std::uint64_t run = 1ull << p[0];
-  double* d = reinterpret_cast<double*>(amps_.data());
-  // dim/8 pairs: both controls forced to 1, target 0 at the base index.
-  const int p0 = p[0], p1 = p[1], p2 = p[2];
-  parallel_chunks(static_cast<std::int64_t>(dim() >> 3), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
-      const std::int64_t len = std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
-      const std::uint64_t base = expand3(static_cast<std::uint64_t>(i), p0, p1, p2) | controls;
-      double* x = d + 2 * base;
-      double* y = d + 2 * (base | tmask);
-      for (std::int64_t j = 0; j < 2 * len; ++j) std::swap(x[j], y[j]);
-      i += len;
-    }
-  });
-}
-
-void Statevector::apply_cswap(int control, int a, int b) {
-  check_qubit(control);
-  check_qubit(a);
-  check_qubit(b);
-  if (control == a || control == b || a == b)
-    throw ValidationError("cswap operands must be distinct");
-  int p[3] = {control, a, b};
-  std::sort(p, p + 3);
-  const std::uint64_t cmask = 1ull << control;
-  const std::uint64_t amask = 1ull << a;
-  const std::uint64_t bmask = 1ull << b;
-  const std::uint64_t run = 1ull << p[0];
-  double* d = reinterpret_cast<double*>(amps_.data());
-  // dim/8 mismatched pairs under an asserted control bit.
-  const int p0 = p[0], p1 = p[1], p2 = p[2];
-  parallel_chunks(static_cast<std::int64_t>(dim() >> 3), [=](std::int64_t lo, std::int64_t hi) {
-    std::int64_t i = lo;
-    while (i < hi) {
-      const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
-      const std::int64_t len = std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
-      const std::uint64_t base = expand3(static_cast<std::uint64_t>(i), p0, p1, p2) | cmask;
-      double* x = d + 2 * (base | amask);
-      double* y = d + 2 * (base | bmask);
-      for (std::int64_t j = 0; j < 2 * len; ++j) std::swap(x[j], y[j]);
-      i += len;
-    }
-  });
-}
-
 int Statevector::check_support(std::span<const int> qubits) const {
   if (qubits.empty()) throw ValidationError("k-qubit kernel needs at least one qubit");
   if (qubits.size() > static_cast<std::size_t>(kMaxKernelQubits))
@@ -475,53 +336,43 @@ void Statevector::apply_matrix(std::span<const int> qubits, const c64* u) {
   }
   double* d = reinterpret_cast<double*>(amps_.data());
   if (k == 2) {
-    // Hand-unrolled fast path: four run-contiguous pointers, 16 complex MACs
-    // per amplitude quadruple, branch-free inner loop.
-    const int q0 = qubits[0], q1 = qubits[1];
-    const int p0 = std::min(q0, q1), p1 = std::max(q0, q1);
-    const std::uint64_t run = 1ull << p0;
-    const std::uint64_t s0 = 1ull << q0, s1 = 1ull << q1;
+    // Hand-unrolled fast path: four run-contiguous pointers on the pair
+    // walk's bases, 16 complex MACs per amplitude quadruple.
+    const std::uint64_t s0 = 1ull << qubits[0], s1 = 1ull << qubits[1];
     double ur[4][4], ui[4][4];
     for (int r = 0; r < 4; ++r)
       for (int c = 0; c < 4; ++c) {
         ur[r][c] = u[4 * r + c].real();
         ui[r][c] = u[4 * r + c].imag();
       }
-    parallel_chunks(static_cast<std::int64_t>(dim() >> 2), [=](std::int64_t lo, std::int64_t hi) {
-      std::int64_t i = lo;
-      while (i < hi) {
-        const std::uint64_t off = static_cast<std::uint64_t>(i) & (run - 1);
-        const std::int64_t len =
-            std::min<std::int64_t>(hi - i, static_cast<std::int64_t>(run - off));
-        const std::uint64_t base = expand2(static_cast<std::uint64_t>(i), p0, p1);
-        // len <= run = 2^min(q0, q1), so the four streams are disjoint.
-        double* __restrict a0 = d + 2 * base;
-        double* __restrict a1 = d + 2 * (base | s0);
-        double* __restrict a2 = d + 2 * (base | s1);
-        double* __restrict a3 = d + 2 * (base | s0 | s1);
-        for (std::int64_t j = 0; j < 2 * len; j += 2) {
-          const double x0r = a0[j], x0i = a0[j + 1];
-          const double x1r = a1[j], x1i = a1[j + 1];
-          const double x2r = a2[j], x2i = a2[j + 1];
-          const double x3r = a3[j], x3i = a3[j + 1];
-          a0[j] = ur[0][0] * x0r - ui[0][0] * x0i + ur[0][1] * x1r - ui[0][1] * x1i +
-                  ur[0][2] * x2r - ui[0][2] * x2i + ur[0][3] * x3r - ui[0][3] * x3i;
-          a0[j + 1] = ur[0][0] * x0i + ui[0][0] * x0r + ur[0][1] * x1i + ui[0][1] * x1r +
-                      ur[0][2] * x2i + ui[0][2] * x2r + ur[0][3] * x3i + ui[0][3] * x3r;
-          a1[j] = ur[1][0] * x0r - ui[1][0] * x0i + ur[1][1] * x1r - ui[1][1] * x1i +
-                  ur[1][2] * x2r - ui[1][2] * x2i + ur[1][3] * x3r - ui[1][3] * x3i;
-          a1[j + 1] = ur[1][0] * x0i + ui[1][0] * x0r + ur[1][1] * x1i + ui[1][1] * x1r +
-                      ur[1][2] * x2i + ui[1][2] * x2r + ur[1][3] * x3i + ui[1][3] * x3r;
-          a2[j] = ur[2][0] * x0r - ui[2][0] * x0i + ur[2][1] * x1r - ui[2][1] * x1i +
-                  ur[2][2] * x2r - ui[2][2] * x2i + ur[2][3] * x3r - ui[2][3] * x3i;
-          a2[j + 1] = ur[2][0] * x0i + ui[2][0] * x0r + ur[2][1] * x1i + ui[2][1] * x1r +
-                      ur[2][2] * x2i + ui[2][2] * x2r + ur[2][3] * x3i + ui[2][3] * x3r;
-          a3[j] = ur[3][0] * x0r - ui[3][0] * x0i + ur[3][1] * x1r - ui[3][1] * x1i +
-                  ur[3][2] * x2r - ui[3][2] * x2i + ur[3][3] * x3r - ui[3][3] * x3i;
-          a3[j + 1] = ur[3][0] * x0i + ui[3][0] * x0r + ur[3][1] * x1i + ui[3][1] * x1r +
-                      ur[3][2] * x2i + ui[3][2] * x2r + ur[3][3] * x3i + ui[3][3] * x3r;
-        }
-        i += len;
+    walk_bases<2, false>(dim(), sorted_support<2>(qubits), [=](std::uint64_t base,
+                                                               std::int64_t len) {
+      // len <= 2^min(q0, q1), so the four streams are disjoint.
+      double* __restrict a0 = d + 2 * base;
+      double* __restrict a1 = d + 2 * (base | s0);
+      double* __restrict a2 = d + 2 * (base | s1);
+      double* __restrict a3 = d + 2 * (base | s0 | s1);
+      for (std::int64_t j = 0; j < 2 * len; j += 2) {
+        const double x0r = a0[j], x0i = a0[j + 1];
+        const double x1r = a1[j], x1i = a1[j + 1];
+        const double x2r = a2[j], x2i = a2[j + 1];
+        const double x3r = a3[j], x3i = a3[j + 1];
+        a0[j] = ur[0][0] * x0r - ui[0][0] * x0i + ur[0][1] * x1r - ui[0][1] * x1i +
+                ur[0][2] * x2r - ui[0][2] * x2i + ur[0][3] * x3r - ui[0][3] * x3i;
+        a0[j + 1] = ur[0][0] * x0i + ui[0][0] * x0r + ur[0][1] * x1i + ui[0][1] * x1r +
+                    ur[0][2] * x2i + ui[0][2] * x2r + ur[0][3] * x3i + ui[0][3] * x3r;
+        a1[j] = ur[1][0] * x0r - ui[1][0] * x0i + ur[1][1] * x1r - ui[1][1] * x1i +
+                ur[1][2] * x2r - ui[1][2] * x2i + ur[1][3] * x3r - ui[1][3] * x3i;
+        a1[j + 1] = ur[1][0] * x0i + ui[1][0] * x0r + ur[1][1] * x1i + ui[1][1] * x1r +
+                    ur[1][2] * x2i + ui[1][2] * x2r + ur[1][3] * x3i + ui[1][3] * x3r;
+        a2[j] = ur[2][0] * x0r - ui[2][0] * x0i + ur[2][1] * x1r - ui[2][1] * x1i +
+                ur[2][2] * x2r - ui[2][2] * x2i + ur[2][3] * x3r - ui[2][3] * x3i;
+        a2[j + 1] = ur[2][0] * x0i + ui[2][0] * x0r + ur[2][1] * x1i + ui[2][1] * x1r +
+                    ur[2][2] * x2i + ui[2][2] * x2r + ur[2][3] * x3i + ui[2][3] * x3r;
+        a3[j] = ur[3][0] * x0r - ui[3][0] * x0i + ur[3][1] * x1r - ui[3][1] * x1i +
+                ur[3][2] * x2r - ui[3][2] * x2i + ur[3][3] * x3r - ui[3][3] * x3i;
+        a3[j + 1] = ur[3][0] * x0i + ui[3][0] * x0r + ur[3][1] * x1i + ui[3][1] * x1r +
+                    ur[3][2] * x2i + ui[3][2] * x2r + ur[3][3] * x3i + ui[3][3] * x3r;
       }
     });
     return;
@@ -580,6 +431,16 @@ void Statevector::apply_diag(std::span<const int> qubits, const c64* dg) {
   const int k = check_support(qubits);
   if (k == 1) {
     apply_diag_1q(qubits[0], dg[0], dg[1]);
+    return;
+  }
+  if (k == 2) {
+    // Each non-unit factor scales one quadrant: CZ/CP touch dim/4
+    // amplitudes, CRZ dim/2, RZZ all four quadrants.
+    const Support<2> ps = sorted_support<2>(qubits);
+    for (std::size_t m = 0; m < 4; ++m)
+      if (dg[m] != c64(1.0, 0.0))
+        scale_where<2>(reinterpret_cast<double*>(amps_.data()), dim(), ps,
+                       local_offset(qubits, m), dg[m]);
     return;
   }
   const std::size_t nloc = std::size_t{1} << k;
@@ -728,6 +589,27 @@ void Statevector::apply_diag(std::span<const int> qubits, const c64* dg) {
 void Statevector::apply_monomial(std::span<const int> qubits, const int* src, const c64* phase) {
   const int k = check_support(qubits);
   const std::size_t nloc = std::size_t{1} << k;
+  if (k <= 3) {
+    // A single transposition, every other row a unit-phase fixed point (each
+    // lone CX, CY, SWAP, CCX and CSWAP), is a 2x2 on one pair of rows: it
+    // runs on the pair walk before any table is built.
+    std::size_t moved[2] = {0, 0};
+    int nmoved = 0;
+    bool pair = true;
+    for (std::size_t m = 0; m < nloc && pair; ++m) {
+      if (src[m] == static_cast<int>(m)) pair = phase[m] == c64(1.0, 0.0);
+      else if (nmoved < 2) moved[nmoved++] = m;
+      else pair = false;
+    }
+    const std::size_t a = moved[0], b = moved[1];
+    if (pair && nmoved == 2 && src[a] == static_cast<int>(b) && src[b] == static_cast<int>(a)) {
+      double* d = reinterpret_cast<double*>(amps_.data());
+      if (k == 1) apply_transposition<1>(d, dim(), qubits, a, b, phase[a], phase[b]);
+      else if (k == 2) apply_transposition<2>(d, dim(), qubits, a, b, phase[a], phase[b]);
+      else apply_transposition<3>(d, dim(), qubits, a, b, phase[a], phase[b]);
+      return;
+    }
+  }
   std::vector<bool> hit(nloc, false);
   for (std::size_t m = 0; m < nloc; ++m) {
     if (src[m] < 0 || static_cast<std::size_t>(src[m]) >= nloc || hit[static_cast<std::size_t>(src[m])])
@@ -875,48 +757,6 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
   });
 }
 
-void Statevector::apply(const Instruction& inst) {
-  if (inst.is_parameterized())
-    throw ValidationError("unbound symbolic parameter in apply(); bind the circuit first");
-  switch (inst.gate) {
-    case Gate::Barrier: return;
-    case Gate::Measure:
-    case Gate::Reset:
-      throw ValidationError("non-unitary instruction in apply(); use the engine");
-    case Gate::I: return;
-    case Gate::Z: apply_diag_1q(inst.qubits[0], 1.0, -1.0); return;
-    case Gate::S: apply_diag_1q(inst.qubits[0], 1.0, c64(0.0, 1.0)); return;
-    case Gate::Sdg: apply_diag_1q(inst.qubits[0], 1.0, c64(0.0, -1.0)); return;
-    case Gate::T: apply_diag_1q(inst.qubits[0], 1.0, unit_phase(M_PI / 4)); return;
-    case Gate::Tdg: apply_diag_1q(inst.qubits[0], 1.0, unit_phase(-M_PI / 4)); return;
-    case Gate::RZ: {
-      const c64 half = unit_phase(inst.params[0] / 2.0);
-      apply_diag_1q(inst.qubits[0], std::conj(half), half);
-      return;
-    }
-    case Gate::P: apply_diag_1q(inst.qubits[0], 1.0, unit_phase(inst.params[0])); return;
-    case Gate::CX:
-      apply_controlled_1q(inst.qubits[0], inst.qubits[1], gate_matrix_1q(Gate::X, nullptr));
-      return;
-    case Gate::CY:
-      apply_controlled_1q(inst.qubits[0], inst.qubits[1], gate_matrix_1q(Gate::Y, nullptr));
-      return;
-    case Gate::CZ: apply_cp(inst.qubits[0], inst.qubits[1], M_PI); return;
-    case Gate::CP: apply_cp(inst.qubits[0], inst.qubits[1], inst.params[0]); return;
-    case Gate::CRZ:
-      apply_controlled_1q(inst.qubits[0], inst.qubits[1],
-                          gate_matrix_1q(Gate::RZ, inst.params.data()));
-      return;
-    case Gate::SWAP: apply_swap(inst.qubits[0], inst.qubits[1]); return;
-    case Gate::RZZ: apply_rzz(inst.qubits[0], inst.qubits[1], inst.params[0]); return;
-    case Gate::CCX: apply_ccx(inst.qubits[0], inst.qubits[1], inst.qubits[2]); return;
-    case Gate::CSWAP: apply_cswap(inst.qubits[0], inst.qubits[1], inst.qubits[2]); return;
-    default:
-      apply_1q(inst.qubits[0], gate_matrix_1q(inst.gate, inst.params.data()));
-      return;
-  }
-}
-
 void Statevector::apply_unitaries(const Circuit& circuit) {
   if (circuit.num_qubits() > num_qubits_)
     throw ValidationError("circuit wider than statevector");
@@ -1008,8 +848,11 @@ int Statevector::measure_collapse(int q, Rng& rng) {
   const double keep_prob = outcome ? p1 : 1.0 - p1;
   const double scale = 1.0 / std::sqrt(keep_prob);
   double* d = reinterpret_cast<double*>(amps_.data());
-  zero_half(d, dim(), q, outcome ^ 1);
-  if (scale != 1.0) scale_half(d, dim(), q, outcome, c64(scale, 0.0));
+  const std::uint64_t lost = outcome ? 0 : 1ull << q;
+  walk_bases<1, false>(dim(), {q}, [=](std::uint64_t base, std::int64_t len) {
+    std::fill_n(d + 2 * (base | lost), 2 * len, 0.0);
+  });
+  if (scale != 1.0) scale_where<1>(d, dim(), {q}, lost ^ (1ull << q), c64(scale, 0.0));
   return outcome;
 }
 
@@ -1028,10 +871,7 @@ BasisHistogram Statevector::sample_basis(std::int64_t shots, Rng& rng) {
 }
 
 void Statevector::reset_qubit(int q, Rng& rng) {
-  if (measure_collapse(q, rng) == 1) {
-    Instruction x{Gate::X, {q}, {}, {}, {}};
-    apply(x);
-  }
+  if (measure_collapse(q, rng) == 1) apply_1q(q, gate_matrix_1q(Gate::X, nullptr));
 }
 
 }  // namespace quml::sim

@@ -7,10 +7,18 @@
 // because kernels are deterministic and sampling draws from an explicit,
 // serial RNG stream.
 //
-// Kernel layout: every gate touches only the amplitudes its operands select.
-// A k-qubit kernel iterates the dim/2^k base indices produced by inserting
-// the fixed operand bits into a compact counter (bit-insertion indexing), in
-// contiguous runs so the inner loops are branch-free and auto-vectorizable.
+// Kernel layout: one kernel per matrix structure — a 2x2 (apply_1q), a
+// diagonal (apply_diag_1q / apply_diag), a permutation with phases
+// (apply_monomial) and a dense matrix (apply_matrix).  There are no per-gate
+// kernels: apply(const Instruction&) runs a gate as the structure op the
+// fusion pass emits for it alone.  Every kernel touches only the amplitudes
+// its operands select.  A k-qubit kernel iterates the dim/2^k base indices
+// produced by inserting the fixed operand bits into a compact counter
+// (bit-insertion indexing), in contiguous runs so the inner loops are
+// branch-free and auto-vectorizable.  One private pair walk, templated on
+// the support size, drives apply_1q, the k = 2 diagonal and dense kernels
+// and every monomial that is a single transposition (a lone CX, CY, SWAP,
+// CCX or CSWAP), so those paths build no tables and allocate nothing.
 
 #include <complex>
 #include <cstdint>
@@ -65,8 +73,6 @@ class Statevector final : public SimState {
   /// Resets to the basis state |index>.
   void set_basis_state(std::uint64_t index);
 
-  /// Applies any unitary instruction (throws on Measure/Reset/Barrier).
-  void apply(const Instruction& inst) override;
   /// Applies every unitary instruction of `circuit` (Barrier skipped; throws
   /// on Measure/Reset — collapse is the engine's job).  Routes through the
   /// gate-fusion pass, so direct statevector users pay the same collapsed
@@ -74,7 +80,8 @@ class Statevector final : public SimState {
   /// result is the same unitary including global phase.
   void apply_unitaries(const Circuit& circuit);
 
-  // --- primitive kernels -----------------------------------------------------
+  // --- one-qubit kernels -----------------------------------------------------
+  /// 2x2 unitary on qubit q: the pair walk's k = 1 butterfly.
   void apply_1q(int q, const Mat2& u) override;
   /// Diagonal 1q fast path: amp *= d0/d1 by bit value (halves with a factor
   /// of exactly 1 are skipped entirely).
@@ -87,16 +94,6 @@ class Statevector final : public SimState {
   /// order.  The sweep executor (sim/sweep.hpp) routes 1q runs through this.
   void apply_1q_layer(std::span<const std::pair<int, Mat2>> gates) override;
 
-  void apply_controlled_1q(int control, int target, const Mat2& u);
-  /// Phase e^{i lambda} on |..1..1..> (control & target set).  Exact multiples
-  /// of pi/2 use exact constants (CZ applies exactly -1, not exp(i*pi)).
-  void apply_cp(int control, int target, double lambda);
-  void apply_swap(int a, int b);
-  /// exp(-i theta/2 Z⊗Z).
-  void apply_rzz(int a, int b, double theta);
-  void apply_ccx(int c0, int c1, int target);
-  void apply_cswap(int control, int a, int b);
-
   // --- general k-qubit kernels (the fusion pass's back end) -------------------
   /// Applies a dense 2^k x 2^k unitary `u` (row-major; local bit j of the
   /// row/column index is the state of qubits[j], little-endian) to the
@@ -105,12 +102,14 @@ class Statevector final : public SimState {
   /// cache-blocked runs; k == 2 takes a hand-unrolled four-pointer fast path.
   void apply_matrix(std::span<const int> qubits, const c64* u) override;
   /// Multiplies each amplitude by the 2^k diagonal `d` indexed by its local
-  /// bits (ordering as apply_matrix); entries equal to exactly 1 are skipped.
+  /// bits (ordering as apply_matrix); entries equal to exactly 1 are skipped,
+  /// so k = 2 scales only its non-unit quadrants (CZ/CP touch dim/4).
   void apply_diag(std::span<const int> qubits, const c64* d) override;
   /// Applies a monomial (permutation-with-phases) unitary: the amplitude at
   /// local index m becomes phase[m] * (previous amplitude at src[m]).  `src`
   /// must be a permutation of [0, 2^k); rows with src[m] == m and phase 1 are
-  /// untouched.
+  /// untouched.  A single transposition on k <= 3 qubits runs on the pair
+  /// walk: a plain exchange for unit phases, a 2x2 butterfly otherwise.
   void apply_monomial(std::span<const int> qubits, const int* src, const c64* phase) override;
 
   // --- analysis ---------------------------------------------------------------

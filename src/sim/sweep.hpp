@@ -62,7 +62,7 @@ class SweepPlan {
   /// Builds the plan.  `circuit` may end in a trailing measurement block;
   /// throws ValidationError for mid-circuit measurement or Reset (those need
   /// per-shot trajectories — use the engine per binding instead).
-  explicit SweepPlan(const Circuit& circuit, FusionOptions options = FusionOptions::from_env());
+  explicit SweepPlan(const Circuit& circuit, FusionOptions options = {});
   ~SweepPlan();
   SweepPlan(const SweepPlan&) = delete;
   SweepPlan& operator=(const SweepPlan&) = delete;

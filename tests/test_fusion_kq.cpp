@@ -2,13 +2,14 @@
 // (sim/fusion) and the statevector kernels backing it (apply_matrix,
 // apply_diag, apply_monomial).  The load-bearing property: a fused program
 // applies the *identical* unitary — amplitudes agree with the gate-by-gate
-// native path to 1e-12, global phase included — across random circuits,
+// unfused path to 1e-12, global phase included — across random circuits,
 // every cap k in 2..5, adversarial operand orders, and boundary wires.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "backend/lowering.hpp"
 #include "sim/engine.hpp"
@@ -20,7 +21,7 @@
 namespace quml::sim {
 namespace {
 
-/// Gate-by-gate reference: native kernels only, no fusion.
+/// Gate-by-gate reference: each gate's own op, no fusion.
 void apply_gate_by_gate(Statevector& sv, const Circuit& c) {
   for (const auto& inst : c.instructions())
     if (inst.gate != Gate::Barrier) sv.apply(inst);
@@ -407,31 +408,7 @@ TEST(FusionKq, ExactInverseRunsVanish) {
   EXPECT_EQ(stats.ops_out, 0u);
 }
 
-TEST(FusionOptionsKq, EnvOverridesAndClamping) {
-  setenv("QUML_FUSION_MAX_QUBITS", "2", 1);
-  setenv("QUML_FUSION_MAX_STRUCTURED_QUBITS", "6", 1);
-  const FusionOptions opt = FusionOptions::from_env();
-  EXPECT_EQ(opt.max_qubits, 2);
-  EXPECT_EQ(opt.max_structured_qubits, 6);
-  unsetenv("QUML_FUSION_MAX_QUBITS");
-  unsetenv("QUML_FUSION_MAX_STRUCTURED_QUBITS");
-  const FusionOptions defaults = FusionOptions::from_env();
-  EXPECT_EQ(defaults.max_qubits, 4);
-  EXPECT_EQ(defaults.max_structured_qubits, 14);
-
-  // Malformed values fall back to the defaults: partial parses ("2x"), and —
-  // regression — out-of-int-range literals, which the strtol predecessor cast
-  // to int unchecked (e.g. "4294967298" wrapped to 2 on LP64).
-  setenv("QUML_FUSION_MAX_QUBITS", "2x", 1);
-  setenv("QUML_FUSION_MAX_STRUCTURED_QUBITS", "4294967298", 1);
-  const FusionOptions malformed = FusionOptions::from_env();
-  EXPECT_EQ(malformed.max_qubits, defaults.max_qubits);
-  EXPECT_EQ(malformed.max_structured_qubits, defaults.max_structured_qubits);
-  setenv("QUML_FUSION_MAX_QUBITS", "99999999999999999999", 1);
-  EXPECT_EQ(FusionOptions::from_env().max_qubits, defaults.max_qubits);
-  unsetenv("QUML_FUSION_MAX_QUBITS");
-  unsetenv("QUML_FUSION_MAX_STRUCTURED_QUBITS");
-
+TEST(FusionOptionsKq, AbsurdCapsAreClamped) {
   // Absurd caps are clamped inside the pass rather than crashing the kernels.
   FusionOptions wild;
   wild.max_qubits = 99;
@@ -457,14 +434,25 @@ TEST(FusionKq, EngineRunCountsUnchangedByFusionWidth) {
     else if (i % 3 == 1) c.cx(q, (q + 1) % 5);
     else c.cp(0.3 * i, q, (q + 2) % 5);
   }
-  c.measure_all();
-  setenv("QUML_FUSION_MAX_STRUCTURED_QUBITS", "1", 1);
-  setenv("QUML_FUSION_MAX_QUBITS", "1", 1);
-  const CountMap narrow = Engine().run_counts(c, 512, 4242);
-  unsetenv("QUML_FUSION_MAX_STRUCTURED_QUBITS");
-  unsetenv("QUML_FUSION_MAX_QUBITS");
-  const CountMap wide = Engine().run_counts(c, 512, 4242);
+  // The engine's trailing-measurement path with its fusion caps swapped:
+  // the same seed drives the same sampler over each differently fused state.
+  const auto counts_with = [&](const FusionOptions& options) {
+    Statevector sv(5);
+    apply_fused(sv, fuse_unitaries(c, options));
+    Rng rng(4242);
+    std::vector<std::pair<int, int>> measurements;
+    for (int q = 0; q < 5; ++q) measurements.emplace_back(q, q);
+    return counts_from_basis_histogram(sv.sample_basis(512, rng), measurements, 5);
+  };
+  FusionOptions narrow_caps;
+  narrow_caps.max_qubits = 1;
+  narrow_caps.max_structured_qubits = 1;
+  const CountMap narrow = counts_with(narrow_caps);
+  const CountMap wide = counts_with(FusionOptions{});
   EXPECT_EQ(narrow, wide);
+  // ... and the default-caps histogram is exactly what the engine samples.
+  c.measure_all();
+  EXPECT_EQ(wide, Engine().run_counts(c, 512, 4242));
 }
 
 }  // namespace

@@ -226,6 +226,27 @@ TEST(Mps, TruncationCapsBondAndRenormalizes) {
   EXPECT_NEAR(total, 1.0, 1e-8);
 }
 
+TEST(Mps, TightBondCapsKeepCanonicalForm) {
+  // Regression: the Jacobi SVD behind every split formed its rotation from
+  // a cancelling difference and from |<g_p, g_q>|^2, so some splits left the
+  // kept vectors orthogonal only to ~1e-8, or non-unitary once a zero column
+  // underflowed.  The canonical form then drifted: norm() and the summed
+  // probabilities parted by up to 3e-4 across these seeds, and a
+  // mid-circuit measurement on the MPS engine threw "norm lost".
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Circuit c = random_circuit(seed, 8, 80);
+    MpsConfig config;
+    config.max_bond_dim = 2;
+    config.truncation_cutoff = 0.0;
+    Mps mps(8, config);
+    apply_gate_by_gate(mps, c);
+    double total = 0.0;
+    for (const double p : mps.probabilities()) total += p;
+    EXPECT_NEAR(mps.norm(), 1.0, 1e-12) << "seed " << seed;
+    EXPECT_NEAR(total, 1.0, 1e-12) << "seed " << seed;
+  }
+}
+
 TEST(Mps, MeasureCollapseOnGhz) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Circuit c(12, 0);

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/fusion.hpp"
@@ -223,17 +225,39 @@ TEST(Statevector, GhzParity) {
 }
 
 TEST(Statevector, SpecializedKernelsMatchGenericMatrix) {
-  // Apply each specialized gate and its generic-1q-matrix form; compare.
-  for (const Gate g : {Gate::Z, Gate::S, Gate::Sdg, Gate::T, Gate::Tdg}) {
-    Circuit prep(2, 0);
-    prep.h(0);
-    prep.h(1);
-    Statevector a = Engine().run_statevector(prep);
-    Statevector b = a;
-    Instruction inst{g, {1}, {}, {}};
-    a.apply(inst);                              // specialized diagonal path
-    b.apply_1q(1, gate_matrix_1q(g, nullptr));  // generic path
-    EXPECT_NEAR(a.fidelity(b), 1.0, 1e-12) << gate_name(g);
+  // Every unitary gate through apply() (the structure op it runs as alone:
+  // pair walk, quadrant or half-state scaling) against its dense matrix
+  // through apply_matrix, on a random 6-qubit state.  Each gate runs in both
+  // operand orders, on a support whose lowest qubit is below 3 (the
+  // per-pair walk) and on one whose lowest qubit is 3 or higher (the run
+  // walk).
+  Statevector prep(6);
+  Rng rng(17);
+  for (int layer = 0; layer < 2; ++layer)
+    for (int q = 0; q < 6; ++q) {
+      const double a[3] = {rng.next_double() * 3, rng.next_double() * 6 - 3,
+                           rng.next_double() * 6 - 3};
+      prep.apply_1q(q, gate_matrix_1q(Gate::U3, a));
+      const int pair[2] = {q, (q + 1) % 6};
+      prep.apply_matrix(pair, gate_matrix(Gate::CX, nullptr).data());
+    }
+  const double params[3] = {0.731, -1.217, 2.05};
+  const std::vector<std::vector<int>> supports = {{0, 2, 1}, {1, 2, 0}, {3, 5, 4}, {4, 5, 3}};
+  for (int gi = static_cast<int>(Gate::I); gi <= static_cast<int>(Gate::CSWAP); ++gi) {
+    const Gate g = static_cast<Gate>(gi);
+    for (const std::vector<int>& support : supports) {
+      Instruction inst{g, {}, {}, {}, {}};
+      inst.qubits.assign(support.begin(), support.begin() + gate_arity(g));
+      inst.params.assign(params, params + gate_num_params(g));
+      Statevector a = prep;
+      Statevector b = prep;
+      a.apply(inst);
+      b.apply_matrix(inst.qubits, gate_matrix(g, inst.params.data()).data());
+      double diff = 0.0;
+      for (std::uint64_t i = 0; i < a.dim(); ++i)
+        diff = std::max(diff, std::abs(a.amplitude(i) - b.amplitude(i)));
+      EXPECT_LT(diff, 1e-12) << gate_name(g) << " on " << support[0] << "," << support[1];
+    }
   }
 }
 
@@ -260,7 +284,7 @@ TEST(Statevector, CcxTruthTable) {
   for (std::uint64_t input = 0; input < 8; ++input) {
     Statevector sv(3);
     sv.set_basis_state(input);
-    sv.apply_ccx(0, 1, 2);
+    sv.apply(Instruction{Gate::CCX, {0, 1, 2}, {}, {}, {}});
     const std::uint64_t expected = ((input & 3) == 3) ? (input ^ 4) : input;
     EXPECT_NEAR(std::abs(sv.amplitude(expected)), 1.0, 1e-12) << "input " << input;
   }
@@ -270,7 +294,7 @@ TEST(Statevector, CswapTruthTable) {
   for (std::uint64_t input = 0; input < 8; ++input) {
     Statevector sv(3);
     sv.set_basis_state(input);
-    sv.apply_cswap(0, 1, 2);  // control q0, swap q1 q2
+    sv.apply(Instruction{Gate::CSWAP, {0, 1, 2}, {}, {}, {}});  // control q0, swap q1 q2
     std::uint64_t expected = input;
     if (input & 1) {
       const std::uint64_t b1 = (input >> 1) & 1, b2 = (input >> 2) & 1;
@@ -284,10 +308,10 @@ TEST(Statevector, RzzPhases) {
   // On |00>: phase e^{-i theta/2}; on |01>: e^{+i theta/2}.
   const double theta = 0.7;
   Statevector sv(2);
-  sv.apply_rzz(0, 1, theta);
+  sv.apply(Instruction{Gate::RZZ, {0, 1}, {theta}, {}, {}});
   EXPECT_NEAR(std::arg(sv.amplitude(0)), -theta / 2, 1e-12);
   sv.set_basis_state(0b01);
-  sv.apply_rzz(0, 1, theta);
+  sv.apply(Instruction{Gate::RZZ, {0, 1}, {theta}, {}, {}});
   EXPECT_NEAR(std::arg(sv.amplitude(0b01)), theta / 2, 1e-12);
 }
 
@@ -314,13 +338,14 @@ TEST(Statevector, ExactPhaseConstants) {
   EXPECT_EQ(unit_phase(kPi / 2), c64(0.0, 1.0));
   EXPECT_EQ(unit_phase(-kPi / 2), c64(0.0, -1.0));
   EXPECT_EQ(unit_phase(0.0), c64(1.0, 0.0));
-  // CZ through apply_cp(pi) applies exactly -1: no 1e-16 imaginary residue.
+  // CZ applies exactly -1: no 1e-16 imaginary residue.
   Statevector sv(2);
   sv.set_basis_state(0b11);
-  sv.apply_cp(0, 1, kPi);
+  sv.apply(Instruction{Gate::CZ, {0, 1}, {}, {}, {}});
   EXPECT_EQ(sv.amplitude(0b11), c64(-1.0, 0.0));
-  // ... and applying it twice restores the state exactly.
-  sv.apply_cp(0, 1, kPi);
+  // ... and so does CP(pi): applying it after the CZ restores the state
+  // exactly.
+  sv.apply(Instruction{Gate::CP, {0, 1}, {kPi}, {}, {}});
   EXPECT_EQ(sv.amplitude(0b11), c64(1.0, 0.0));
 }
 
@@ -387,7 +412,7 @@ TEST(Statevector, MeasureClampsNearDeterministicProbabilities) {
     sv.apply_1q(0, gate_matrix_1q(Gate::X, nullptr));
     for (int i = 0; i < 200; ++i) {
       sv.apply_diag_1q(i % 4, unit_phase(0.3), unit_phase(-0.7));
-      if (i % 3 == 0) sv.apply_rzz(i % 4, (i + 1) % 4, 1.1);
+      if (i % 3 == 0) sv.apply(Instruction{Gate::RZZ, {i % 4, (i + 1) % 4}, {1.1}, {}, {}});
     }
     EXPECT_EQ(sv.measure_collapse(0, rng), 1);  // deterministically |1>
     EXPECT_NEAR(sv.norm(), 1.0, 1e-9);
@@ -514,7 +539,7 @@ TEST(Fusion, DiagonalGateCommutesThroughWhenCapsForbidMerging) {
   FusionStats stats;
   const auto ops = fuse_unitaries(c, opt, &stats);
   ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0].kind, FusedOp::Kind::Other);  // the cz passes through first
+  EXPECT_EQ(ops[0].kind, FusedOp::Kind::DiagKQ);  // the cz passes through first
   EXPECT_EQ(ops[1].kind, FusedOp::Kind::Diag1Q);
   EXPECT_EQ(stats.diag_runs, 1u);
   Statevector a(2), b(2);
@@ -526,11 +551,12 @@ TEST(Fusion, DiagonalGateCommutesThroughWhenCapsForbidMerging) {
 
 TEST(Statevector, SwapAndRzzRejectEqualOperandsIdentically) {
   Statevector sv(3);
-  EXPECT_THROW(sv.apply_swap(1, 1), ValidationError);
-  EXPECT_THROW(sv.apply_rzz(1, 1, 0.3), ValidationError);
-  EXPECT_THROW(sv.apply_swap(0, 3), ValidationError);  // out of range still checked
-  EXPECT_NO_THROW(sv.apply_swap(0, 2));
-  EXPECT_NO_THROW(sv.apply_rzz(0, 2, 0.3));
+  EXPECT_THROW(sv.apply(Instruction{Gate::SWAP, {1, 1}, {}, {}, {}}), ValidationError);
+  EXPECT_THROW(sv.apply(Instruction{Gate::RZZ, {1, 1}, {0.3}, {}, {}}), ValidationError);
+  // out of range still checked
+  EXPECT_THROW(sv.apply(Instruction{Gate::SWAP, {0, 3}, {}, {}, {}}), ValidationError);
+  EXPECT_NO_THROW(sv.apply(Instruction{Gate::SWAP, {0, 2}, {}, {}, {}}));
+  EXPECT_NO_THROW(sv.apply(Instruction{Gate::RZZ, {0, 2}, {0.3}, {}, {}}));
 }
 
 TEST(Fusion, BarrierIsAFence) {

@@ -81,7 +81,12 @@ void BM_Anneal_Sweeps(benchmark::State& state) {
       static_cast<double>(params.num_reads * params.num_sweeps * 16),
       benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_Anneal_Sweeps)->Arg(10)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Anneal_Sweeps)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Anneal_Reads(benchmark::State& state) {
   const anneal::IsingModel model = maxcut_model(algolib::Graph::cycle(16));

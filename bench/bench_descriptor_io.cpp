@@ -93,7 +93,7 @@ void BM_DecodeTyped(benchmark::State& state) {
   state.counters["decodes/s"] =
       benchmark::Counter(1024, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_DecodeTyped);
+BENCHMARK(BM_DecodeTyped)->UseRealTime();
 
 void BM_PackageBundle(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(sample_bundle().to_json().size());

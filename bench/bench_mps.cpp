@@ -93,7 +93,13 @@ void BM_GhzLadderWidth(benchmark::State& state) {
   state.counters["gates/s"] = benchmark::Counter(static_cast<double>(c.size()),
                                                  benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_GhzLadderWidth)->Arg(16)->Arg(32)->Arg(48)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GhzLadderWidth)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Bond-cap scaling on the wide QAOA ring: the knob the exec.options block
 // exposes (max_bond_dim), swept at fixed width/depth.  Runtime should track
@@ -139,7 +145,12 @@ void BM_SampleGhz64(benchmark::State& state) {
   state.counters["shots/s"] = benchmark::Counter(static_cast<double>(shots),
                                                  benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_SampleGhz64)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampleGhz64)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // End to end through sim::Engine (fusion plan + apply + sample + decode):
 // what GateBackend actually runs when the scheduler routes a wide shallow

@@ -80,7 +80,7 @@ void BM_RepetitionMc(benchmark::State& state) {
   state.counters["trials/s"] = benchmark::Counter(static_cast<double>(trials),
                                                   benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_RepetitionMc)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RepetitionMc)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PatchAllocation(benchmark::State& state) {
   for (auto _ : state)

@@ -90,7 +90,14 @@ void BM_HLayer(benchmark::State& state) {
       static_cast<double>(n) * static_cast<double>(1ull << n),
       benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_HLayer)->Arg(12)->Arg(16)->Arg(20)->Arg(22)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HLayer)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(20)
+    ->Arg(22)
+    ->Arg(24)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The CX/CP chains ride the fusion pass: the whole chain is monomial /
 // diagonal, so O(depth) full-state sweeps collapse into O(depth/k_struct)
@@ -275,7 +282,12 @@ void BM_Sampling(benchmark::State& state) {
   state.counters["shots/s"] =
       benchmark::Counter(static_cast<double>(shots), benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_Sampling)->Arg(1024)->Arg(16384)->Arg(131072)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sampling)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Arg(131072)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Threads(benchmark::State& state) {
   quml::set_num_threads(static_cast<int>(state.range(0)));

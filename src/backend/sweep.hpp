@@ -10,8 +10,9 @@
 // the shared plan, decoding per the bundle's result schema exactly as
 // GateBackend::run would.
 //
-// Eligibility: the fast path requires trailing-only measurement and no
-// noise/qec/pulse context services (those paths run per-shot trajectories or
+// Eligibility: the fast path requires terminal measurements (no gate after a
+// Measure on the same qubit, no Reset — sim::split_terminal_measurements) and
+// no noise/qec/pulse context services (those paths run per-shot trajectories or
 // per-binding metadata); make_gate_sweep_realization returns nullptr for
 // such bundles and the service falls back to bind_bundle() + run() per
 // binding, which is always correct.

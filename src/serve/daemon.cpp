@@ -235,12 +235,14 @@ void JobDaemon::set_settle_callback(SettleCallback callback) {
 
 void JobDaemon::job_settled_(std::uint64_t ticket) {
   JobInfo info;
+  svc::JobHandle job;  // outlives the record, which retention may evict
   {
     MutexLock lock(mutex_);
     const auto it = records_.find(ticket);
     if (it == records_.end()) return;
     // Cancelled only by stop(): abandoned to the journal for the next boot.
     if (it->second.job.status() == svc::JobStatus::Cancelled) return;
+    job = it->second.job;
     info = settle_locked_(ticket, it->second);
   }
   settled_cv_.notify_all();
@@ -248,12 +250,12 @@ void JobDaemon::job_settled_(std::uint64_t ticket) {
     // Serialized against set_settle_callback (see the header): holding the
     // callback mutex across the call is what makes unhooking a barrier.
     MutexLock lock(callback_mutex_);
-    if (on_settle_) on_settle_(info);
+    if (on_settle_) on_settle_(info, job);
   }
 }
 
 JobInfo JobDaemon::settle_locked_(std::uint64_t ticket, const Record& record) {
-  JobInfo info = info_locked_(ticket, record, true);
+  JobInfo info = info_locked_(ticket, record, false);
   try {
     store_.append_settle(ticket, info.status);
     if (store_.settled_records() >= config_.compact_after_settles) store_.compact();

@@ -157,8 +157,11 @@ class JobDaemon {
   /// abandons to the journal).  Invocation is serialized against
   /// set_settle_callback: once set_settle_callback({}) returns, no callback
   /// is running or will run again — the unhooking handshake a Server needs
-  /// before it may close its wake pipe.
-  using SettleCallback = std::function<void(const JobInfo&)>;
+  /// before it may close its wake pipe.  `info` is the result-free view
+  /// (as status() returns it); `job` is the settled service job (invalid for
+  /// a replayed job that failed re-admission), so a callback copies the
+  /// result only when it needs it.
+  using SettleCallback = std::function<void(const JobInfo& info, const svc::JobHandle& job)>;
   void set_settle_callback(SettleCallback callback) QUML_EXCLUDES(callback_mutex_);
 
  private:
@@ -177,7 +180,7 @@ class JobDaemon {
   /// Service settle hook: journals the settle and fires the settle callback.
   void job_settled_(std::uint64_t ticket) QUML_EXCLUDES(mutex_, callback_mutex_);
   /// Marks a record settled: settle record, counters, retention eviction
-  /// (which may erase `record` — use the returned snapshot).
+  /// (which may erase `record` — use the returned result-free snapshot).
   JobInfo settle_locked_(std::uint64_t ticket, const Record& record) QUML_REQUIRES(mutex_);
   JobInfo info_locked_(std::uint64_t ticket, const Record& record, bool with_result) const
       QUML_REQUIRES(mutex_);

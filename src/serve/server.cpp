@@ -116,7 +116,8 @@ Server::Server(JobDaemon& daemon, ServerConfig config)
     throw;
   }
 
-  daemon_.set_settle_callback([this](const JobInfo& info) { on_settle_(info); });
+  daemon_.set_settle_callback(
+      [this](const JobInfo& info, const svc::JobHandle& job) { on_settle_(info, job); });
 }
 
 Server::~Server() { stop(); }
@@ -152,9 +153,9 @@ void Server::wake_() {
   [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
-void Server::on_settle_(const JobInfo& info) {
+void Server::on_settle_(const JobInfo& info, const svc::JobHandle& job) {
   // Runs on a service worker: a settle nobody waits for costs one lookup,
-  // not a result encode.
+  // not a result copy or encode.
   std::vector<std::uint64_t> serials;
   {
     MutexLock lock(mutex_);
@@ -163,7 +164,9 @@ void Server::on_settle_(const JobInfo& info) {
     serials = std::move(it->second);
     waiters_.erase(it);
   }
-  std::string payload = json::dump(result_response(info));
+  JobInfo settled = info;
+  if (job.valid() && job.status() == svc::JobStatus::Done) settled.result = job.result();
+  std::string payload = json::dump(result_response(settled));
   if (payload.size() > config_.limits.max_frame_bytes) {
     // A counts payload wider than the frame limit cannot be framed; the
     // waiter gets a ticket-bearing error instead of the daemon a crash.

@@ -103,7 +103,7 @@ class Server {
   void enqueue_payload_(Session& session, std::string_view payload);
   void close_session_(Session& session);
   void drain_deferred_();
-  void on_settle_(const JobInfo& info);
+  void on_settle_(const JobInfo& info, const svc::JobHandle& job);
   void wake_();
 
   JobDaemon& daemon_;

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_map>
 #include <utility>
 
@@ -12,21 +13,6 @@
 namespace quml::sim {
 
 namespace {
-
-/// True when every Measure is in the trailing block (no unitary afterwards)
-/// and there is no Reset.
-bool has_only_trailing_measurement(const Circuit& circuit) {
-  bool seen_measure = false;
-  for (const auto& inst : circuit.instructions()) {
-    if (inst.gate == Gate::Reset) return false;
-    if (inst.gate == Gate::Measure) {
-      seen_measure = true;
-    } else if (seen_measure && inst.gate != Gate::Barrier && inst.gate != Gate::Measure) {
-      return false;
-    }
-  }
-  return true;
-}
 
 std::string render_clbits(std::uint64_t clbit_word, int num_clbits) {
   return to_bitstring(clbit_word, static_cast<unsigned>(num_clbits));
@@ -63,6 +49,32 @@ std::vector<Segment> fuse_segments(const Circuit& circuit, const FusionOptions& 
 }
 
 }  // namespace
+
+std::optional<TerminalSplit> split_terminal_measurements(const Circuit& circuit) {
+  // Index of the last instruction other than a Barrier or Measure on each
+  // qubit: a Measure after it is terminal.
+  const std::vector<Instruction>& program = circuit.instructions();
+  std::vector<std::ptrdiff_t> last_gate(static_cast<std::size_t>(circuit.num_qubits()), -1);
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    const Instruction& inst = program[i];
+    if (inst.gate == Gate::Reset) return std::nullopt;
+    if (inst.gate == Gate::Barrier || inst.gate == Gate::Measure) continue;
+    for (const int q : inst.qubits)
+      last_gate[static_cast<std::size_t>(q)] = static_cast<std::ptrdiff_t>(i);
+  }
+  TerminalSplit split;
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    const Instruction& inst = program[i];
+    if (inst.gate != Gate::Measure) {
+      split.unitaries.push_back(inst);
+      continue;
+    }
+    if (last_gate[static_cast<std::size_t>(inst.qubits[0])] > static_cast<std::ptrdiff_t>(i))
+      return std::nullopt;
+    split.measurements.emplace_back(inst.qubits[0], inst.clbits[0]);
+  }
+  return split;
+}
 
 CountMap counts_from_alias_table(const AliasTable& table,
                                  const std::vector<std::pair<int, int>>& measurements,
@@ -134,26 +146,17 @@ CountMap Engine::run_counts(const Circuit& circuit, std::int64_t shots, std::uin
   Rng rng(seed);
   const FusionOptions fusion = fusion_options();
 
-  if (has_only_trailing_measurement(circuit)) {
-    // Fast path: evolve the fused unitary prefix once, then batch-sample all
-    // shots via the representation's native sampler.  sample_basis is allowed
-    // to consume the state (the statevector releases its amplitudes once its
-    // alias table is built), so the shot loop runs against the sampler's
-    // working set only.
-    std::vector<Instruction> unitaries;
-    std::vector<std::pair<int, int>> measurements;  // (qubit, clbit), program order
-    for (const auto& inst : circuit.instructions()) {
-      if (inst.gate == Gate::Measure)
-        measurements.emplace_back(inst.qubits[0], inst.clbits[0]);
-      else
-        unitaries.push_back(inst);  // Barrier included: it fences fusion
-    }
-    if (measurements.empty()) throw ValidationError("circuit contains no measurements");
-
+  if (const std::optional<TerminalSplit> split = split_terminal_measurements(circuit)) {
+    // Terminal path: evolve the fused unitaries once, then batch-sample all
+    // shots via the representation's native sampler.  sample_basis is
+    // allowed to consume the state (the statevector releases its amplitudes
+    // once its alias table is built), so the shot loop runs against the
+    // sampler's working set only.
+    if (split->measurements.empty()) throw ValidationError("circuit contains no measurements");
     std::unique_ptr<SimState> state = make_sim_state(circuit.num_qubits(), config_);
-    apply_fused(*state, fuse_unitaries(unitaries, circuit.num_qubits(), fusion));
+    apply_fused(*state, fuse_unitaries(split->unitaries, circuit.num_qubits(), fusion));
     const BasisHistogram histogram = state->sample_basis(shots, rng);
-    return counts_from_basis_histogram(histogram, measurements, circuit.num_clbits());
+    return counts_from_basis_histogram(histogram, split->measurements, circuit.num_clbits());
   }
 
   // Mid-circuit path: per-shot trajectory simulation with collapse.  The

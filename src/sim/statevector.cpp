@@ -859,7 +859,7 @@ int Statevector::measure_collapse(int q, Rng& rng) {
 BasisHistogram Statevector::sample_basis(std::int64_t shots, Rng& rng) {
   // Build the alias table, then free the amplitudes before the shot loop:
   // sampling runs against the table's 12 bytes per amplitude instead of
-  // amplitudes + table concurrently (the engine's trailing-path discipline,
+  // amplitudes + table concurrently (the engine's terminal-path discipline,
   // now owned by the representation itself).
   const AliasTable table(probabilities());
   amps_.clear();

@@ -1,6 +1,8 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "util/errors.hpp"
 
@@ -42,24 +44,13 @@ SweepPlan::SweepPlan(const Circuit& circuit, FusionOptions options)
     : num_qubits_(circuit.num_qubits()),
       num_clbits_(circuit.num_clbits()),
       num_parameters_(circuit.num_parameters()) {
-  // Split the program: unitary stream + trailing measurement block.
-  bool seen_measure = false;
-  for (const Instruction& inst : circuit.instructions()) {
-    if (inst.gate == Gate::Reset)
-      throw ValidationError("sweep plans cannot contain Reset; run per-binding trajectories");
-    if (inst.gate == Gate::Measure) {
-      seen_measure = true;
-      measurements_.emplace_back(inst.qubits[0], inst.clbits[0]);
-      continue;
-    }
-    if (inst.gate == Gate::Barrier) {
-      if (!seen_measure) unitaries_.push_back(inst);  // barrier still fences fusion
-      continue;
-    }
-    if (seen_measure)
-      throw ValidationError("sweep plans require trailing-only measurement");
-    unitaries_.push_back(inst);
-  }
+  // Split the program: unitary stream + terminal measurement list.
+  std::optional<TerminalSplit> split = split_terminal_measurements(circuit);
+  if (!split)
+    throw ValidationError(
+        "sweep plans need terminal measurements and no Reset; run per-binding trajectories");
+  unitaries_ = std::move(split->unitaries);
+  measurements_ = std::move(split->measurements);
 
   // Fuse once at the generic reference binding.  keep_identity_blocks: a
   // block that composes to identity at the reference must survive so other

@@ -59,9 +59,11 @@ class SweepPlan {
     FusionStats fusion;           ///< plan-time fusion statistics
   };
 
-  /// Builds the plan.  `circuit` may end in a trailing measurement block;
-  /// throws ValidationError for mid-circuit measurement or Reset (those need
-  /// per-shot trajectories — use the engine per binding instead).
+  /// Builds the plan.  `circuit` may measure any qubit after its last gate
+  /// (split_terminal_measurements, the engine's own rule), even while other
+  /// qubits keep running; throws ValidationError for a gate after a Measure
+  /// on the same qubit or a Reset (those need per-shot trajectories — use
+  /// the engine per binding instead).
   explicit SweepPlan(const Circuit& circuit, FusionOptions options = {});
   ~SweepPlan();
   SweepPlan(const SweepPlan&) = delete;
@@ -85,7 +87,7 @@ class SweepPlan {
     CountMap run_counts(std::span<const double> values, std::int64_t shots, std::uint64_t seed);
 
     /// Final state of the unitary part under one binding (testing hook; the
-    /// trailing measurement list is ignored).
+    /// measurement list is ignored).
     Statevector run_statevector(std::span<const double> values);
 
    private:

@@ -184,6 +184,14 @@ sim::Circuit fuse_1q_runs(const sim::Circuit& circuit, const BasisSet& basis) {
       out.barrier();
       continue;
     }
+    // Measure and Reset flush every pending run, as a Barrier does, so no
+    // gate moves past a measurement: a circuit that ends in its measurements
+    // still does, and the engine samples it once instead of per shot.
+    if (inst.gate == Gate::Measure || inst.gate == Gate::Reset) {
+      for (int q = 0; q < circuit.num_qubits(); ++q) flush(q);
+      out.push(inst);
+      continue;
+    }
     // A symbolic gate cannot join a resynthesized run: it fences its qubits.
     for (const int q : inst.qubits) flush(q);
     out.push(inst);

@@ -22,7 +22,8 @@ namespace quml::transpile {
 sim::Circuit cancel_and_merge(const sim::Circuit& circuit);
 
 /// Fuses maximal single-qubit gate runs into one unitary and resynthesizes
-/// it into the basis (u3 when unconstrained).
+/// it into the basis (u3 when unconstrained).  Barrier, Measure and Reset
+/// flush every pending run, so gates keep their order relative to them.
 sim::Circuit fuse_1q_runs(const sim::Circuit& circuit, const BasisSet& basis);
 
 /// Applies the pass pipeline for an optimization level.

@@ -614,7 +614,7 @@ TEST(JobDaemon, PausedBacklogSettlesInTenantWeightOrder) {
   JobDaemon daemon(config);
   Mutex mutex;
   std::string order;
-  daemon.set_settle_callback([&](const JobInfo& info) {
+  daemon.set_settle_callback([&](const JobInfo& info, const svc::JobHandle&) {
     MutexLock lock(mutex);
     order += info.tenant;
   });

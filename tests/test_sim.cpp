@@ -1,15 +1,22 @@
 // Tests for the gate-model substrate: gate matrices, Euler decomposition,
 // circuit IR metrics and inversion, state-vector kernels, gate fusion, shot
-// sampling, and mid-circuit measurement trajectories.
+// sampling, deferred terminal measurement, and mid-circuit measurement
+// trajectories.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "random_circuit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
@@ -699,6 +706,121 @@ TEST(Engine, ThreadCountDoesNotChangeResults) {
   const CountMap parallel = Engine().run_counts(c, 2048, 99);
   EXPECT_EQ(serial, parallel);
 }
+
+// --- terminal measurement: deferred to one sampling pass -------------------------
+
+/// `unitary` with qubit q measured into clbit q right after the last gate on
+/// q, while the other qubits keep running: every Measure is terminal, none is
+/// trailing.
+Circuit measure_after_last_gate(const Circuit& unitary) {
+  const int n = unitary.num_qubits();
+  const std::vector<Instruction>& program = unitary.instructions();
+  std::vector<std::ptrdiff_t> last(static_cast<std::size_t>(n), -1);
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    if (program[i].gate == Gate::Barrier) continue;
+    for (const int q : program[i].qubits)
+      last[static_cast<std::size_t>(q)] = static_cast<std::ptrdiff_t>(i);
+  }
+  Circuit out(n, n);
+  const auto measure_done = [&](std::ptrdiff_t i) {
+    for (int q = 0; q < n; ++q)
+      if (last[static_cast<std::size_t>(q)] == i) out.measure(q, q);
+  };
+  measure_done(-1);  // qubits no gate touches
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    out.push(program[i]);
+    measure_done(static_cast<std::ptrdiff_t>(i));
+  }
+  return out;
+}
+
+/// The same circuit with every Measure moved to the end, in program order.
+Circuit measure_at_end(const Circuit& circuit) {
+  Circuit out(circuit.num_qubits(), circuit.num_clbits());
+  for (const Instruction& inst : circuit.instructions())
+    if (inst.gate != Gate::Measure) out.push(inst);
+  for (const Instruction& inst : circuit.instructions())
+    if (inst.gate == Gate::Measure) out.measure(inst.qubits[0], inst.clbits[0]);
+  return out;
+}
+
+/// Total variation distance between sampled counts (clbit q = qubit q) and
+/// an exact basis distribution.
+double tvd_to_exact(const CountMap& counts, const std::vector<double>& exact) {
+  std::int64_t shots = 0;
+  for (const auto& [key, n] : counts) shots += n;
+  std::vector<double> freq(exact.size(), 0.0);
+  for (const auto& [key, n] : counts)
+    freq[std::stoull(key, nullptr, 2)] = static_cast<double>(n) / static_cast<double>(shots);
+  double distance = 0.0;
+  for (std::size_t i = 0; i < exact.size(); ++i) distance += std::abs(freq[i] - exact[i]);
+  return distance / 2.0;
+}
+
+TEST(Engine, TerminalMeasurementRule) {
+  Circuit interleaved(2, 2);
+  interleaved.h(0);
+  interleaved.measure(0, 0);
+  interleaved.h(1);
+  interleaved.barrier();
+  interleaved.measure(0, 1);  // same qubit again: still terminal
+  interleaved.measure(1, 0);
+  const std::optional<TerminalSplit> split = split_terminal_measurements(interleaved);
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->unitaries.size(), 3u);  // h, h, barrier
+  const std::vector<std::pair<int, int>> order{{0, 0}, {0, 1}, {1, 0}};
+  EXPECT_EQ(split->measurements, order);
+
+  Circuit gate_after(2, 2);
+  gate_after.h(0);
+  gate_after.measure(0, 0);
+  gate_after.cx(1, 0);  // touches the measured qubit
+  gate_after.measure(1, 1);
+  EXPECT_FALSE(split_terminal_measurements(gate_after).has_value());
+
+  Circuit with_reset(1, 1);
+  with_reset.reset(0);
+  with_reset.measure(0, 0);
+  EXPECT_FALSE(split_terminal_measurements(with_reset).has_value());
+}
+
+class TerminalMeasurementProperty : public ::testing::TestWithParam<std::tuple<int, StateRep>> {};
+
+TEST_P(TerminalMeasurementProperty, InterleavedSamplesLikeMeasuredAtEnd) {
+  const auto [seed, rep] = GetParam();
+  constexpr int kQubits = 5;
+  constexpr std::int64_t kShots = 8192;
+  const Circuit unitary =
+      testgen::random_circuit(static_cast<std::uint64_t>(seed) + 300, kQubits, 40);
+  const Circuit interleaved = measure_after_last_gate(unitary);
+  // The circuit really measures while other qubits keep running.
+  const auto& program = interleaved.instructions();
+  const auto first_measure = std::find_if(
+      program.begin(), program.end(), [](const Instruction& i) { return i.gate == Gate::Measure; });
+  const auto gate_after = std::find_if(first_measure, program.end(), [](const Instruction& i) {
+    return i.gate != Gate::Measure && i.gate != Gate::Barrier;
+  });
+  ASSERT_NE(gate_after, program.end());
+
+  StateConfig config;
+  config.representation = rep;
+  const Engine engine(config);
+  const std::uint64_t shot_seed = static_cast<std::uint64_t>(seed) + 17;
+  const CountMap counts = engine.run_counts(interleaved, kShots, shot_seed);
+  // Bit-identical to the trailing-measurement circuit: both sample once from
+  // the same evolved state (per-shot trajectories would draw other counts).
+  EXPECT_EQ(counts, engine.run_counts(measure_at_end(interleaved), kShots, shot_seed));
+  EXPECT_LT(tvd_to_exact(counts, Engine().run_statevector(unitary).probabilities()), 0.05);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomCircuits, TerminalMeasurementProperty,
+    ::testing::Combine(::testing::Range(0, 6),
+                       ::testing::Values(StateRep::Statevector, StateRep::Mps)),
+    [](const ::testing::TestParamInfo<std::tuple<int, StateRep>>& info) {
+      return std::string(to_string(std::get<1>(info.param))) + "_" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 }  // namespace
 }  // namespace quml::sim

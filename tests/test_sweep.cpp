@@ -157,10 +157,21 @@ TEST(SweepPlanTest, StatsExposeStaticPrefixAndDynamicOps) {
 }
 
 TEST(SweepPlanTest, RejectsMidCircuitMeasurementAndReset) {
+  // Measuring qubit 0 while qubit 1 keeps running is terminal, not
+  // mid-circuit: the plan builds and samples like the engine.
+  Circuit terminal(2, 2);
+  terminal.h(0);
+  terminal.measure(0, 0);
+  terminal.h(1);
+  terminal.measure(1, 1);
+  const sim::SweepPlan plan(terminal);
+  sim::SweepPlan::Session session(plan);
+  EXPECT_EQ(session.run_counts({}, 512, 9), sim::Engine().run_counts(terminal, 512, 9));
+
   Circuit mid(2, 2);
   mid.h(0);
   mid.measure(0, 0);
-  mid.h(1);
+  mid.h(0);  // a gate after the Measure on the same qubit
   mid.measure(1, 1);
   EXPECT_THROW(sim::SweepPlan{mid}, ValidationError);
 
@@ -341,6 +352,30 @@ TEST(SubmitSweepTest, RunsEveryBindingWithPlanCaching) {
     EXPECT_EQ(result.metadata.at("seed").as_int(),
               static_cast<std::int64_t>(core::sweep_seed(11, i)));
     EXPECT_EQ(result.metadata.at("binding")[0].as_double(), small_grid()[i][0]);
+  }
+}
+
+TEST(SubmitSweepTest, XBasisReadoutKeepsThePlanPath) {
+  // X-basis readout lowers to h(q) measure(q) per qubit, so every Measure but
+  // the last has gates on other qubits after it: terminal, so the default
+  // optimization level (1, which keeps those H's in place) still builds a
+  // cached plan.
+  backend::register_builtin_backends();
+  core::JobBundle bundle = qaoa_bundle(4, 96, 41);
+  bundle.operators.ops.back().result_schema->basis = core::Basis::X;
+  const sim::Circuit logical = backend::lower_bundle(bundle);
+  const std::vector<sim::Instruction>& readout = logical.instructions();
+  ASSERT_GE(readout.size(), 3u);
+  EXPECT_EQ(readout[readout.size() - 3].gate, Gate::Measure);  // then h(3), measure(3)
+  EXPECT_EQ(readout[readout.size() - 2].gate, Gate::H);
+  svc::ExecutionService service;
+  const auto grid = small_grid();
+  const svc::SweepHandle sweep = service.submit_sweep(bundle, grid);
+  EXPECT_TRUE(sweep.plan_cached());
+  sweep.wait();
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    ASSERT_EQ(sweep.status(i), svc::JobStatus::Done) << sweep.error(i);
+    EXPECT_EQ(sweep.result(i).counts.total(), 96);
   }
 }
 

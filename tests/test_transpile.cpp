@@ -313,6 +313,55 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndLevels, OptimizationLevelProperty,
                          ::testing::Combine(::testing::Range(0, 6),
                                             ::testing::Values(0, 1, 2, 3)));
 
+/// True when no unitary follows the first Measure.
+bool measurements_trail(const Circuit& c) {
+  bool seen_measure = false;
+  for (const auto& inst : c.instructions()) {
+    if (inst.gate == Gate::Measure)
+      seen_measure = true;
+    else if (seen_measure && inst.gate != Gate::Barrier)
+      return false;
+  }
+  return seen_measure;
+}
+
+TEST_P(OptimizationLevelProperty, KeepsMeasurementsAfterTheLastGate) {
+  const auto [seed, level] = GetParam();
+  const Circuit c = random_circuit(4, 40, static_cast<std::uint64_t>(seed) + 200);
+  Circuit measured(c.num_qubits(), c.num_qubits());
+  measured.append(c, {0, 1, 2, 3});
+  measured.measure_all();
+  const BasisSet basis({"sx", "rz", "cx"});
+  const Circuit optimized = optimize(translate_to_basis(measured, basis), basis, level);
+  EXPECT_TRUE(measurements_trail(optimized));
+}
+
+TEST(Transpile, RingRoutedQaoaEndsInItsMeasurements) {
+  // QAOA p=2 on an 8-node cubic graph (the prism-like circulant i~i+1,
+  // i~i+4), routed onto a ring: the 1q runs left after routing must not be
+  // emitted after another qubit's Measure.
+  constexpr int n = 8;
+  Circuit c(n, n);
+  for (int q = 0; q < n; ++q) c.h(q);
+  for (const double gamma : {0.4, 0.7}) {
+    for (int q = 0; q < n; ++q) {
+      c.rzz(gamma, q, (q + 1) % n);
+      if (q < n / 2) c.rzz(gamma, q, q + n / 2);
+    }
+    for (int q = 0; q < n; ++q) c.rx(2 * gamma, q);
+  }
+  c.measure_all();
+  for (const int level : {2, 3}) {
+    TranspileOptions opts;
+    opts.basis = BasisSet({"sx", "rz", "cx"});
+    opts.coupling = CouplingMap::ring(n);
+    opts.optimization_level = level;
+    const TranspileResult result = transpile(c, opts);
+    EXPECT_GT(result.swaps_inserted, 0) << "level " << level;
+    EXPECT_TRUE(measurements_trail(result.circuit)) << "level " << level;
+  }
+}
+
 TEST(Transpile, MetricsPopulated) {
   const Circuit c = random_circuit(4, 30, 9);
   TranspileOptions opts;

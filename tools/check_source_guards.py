@@ -20,7 +20,9 @@ Three rules that types alone cannot enforce:
    thread_annotations.hpp legitimately *talks about* std::mutex.
 
 3. rate-counters-use-real-time — a Google Benchmark counter flagged
-   `benchmark::Counter::kIsRate` is divided by the benchmark's CPU time
+   `benchmark::Counter::kIsRate` or `kIsIterationInvariantRate` (a rate
+   too: the value times the iteration count) is divided by the benchmark's
+   CPU time
    unless the benchmark is registered with `->UseRealTime()`; for work that
    runs on service or OpenMP threads the main thread's CPU time is a sliver
    of the wall time, so the "rate" is inflated.  Every benchmark in bench/
@@ -55,7 +57,7 @@ RAW_SYNC = re.compile(
 )
 SYNC_EXEMPT = Path("src/util/sync.hpp")
 
-RATE_FLAG = re.compile(r"\bkIsRate\b")
+RATE_FLAG = re.compile(r"\b(kIsRate|kIsIterationInvariantRate)\b")
 REGISTRATION = re.compile(r"\bBENCHMARK\s*\(\s*(\w+)\s*\)([^;]*);")
 STRING_LITERAL = re.compile(r'R"(\w*)\(.*?\)\1"|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])+\'',
                             re.S)
@@ -162,7 +164,7 @@ def check_rate_counters(root: Path) -> list[str]:
             if bench in reaches and not re.search(r"->\s*UseRealTime\s*\(", chain):
                 lineno = code.count("\n", 0, match.start()) + 1
                 violations.append(
-                    f"{rel}:{lineno}: {bench} sets a kIsRate counter but is not "
+                    f"{rel}:{lineno}: {bench} sets a rate counter but is not "
                     f"registered with ->UseRealTime() (the rate would divide by "
                     f"CPU time)")
     return violations

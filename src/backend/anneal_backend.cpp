@@ -1,5 +1,10 @@
 #include "backend/anneal_backend.hpp"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algolib/ising.hpp"
 #include "anneal/sampler.hpp"
 #include "util/errors.hpp"
@@ -47,23 +52,29 @@ core::ExecutionResult AnnealBackend::run(const core::JobBundle& bundle) {
 
   core::ExecutionResult result;
   const core::ResultSchema schema = problem->result_schema.value_or(core::ResultSchema{});
-  for (const auto& sample : samples.samples())
-    result.counts.add(sample.bitstring(), sample.occurrences);
+  // Render each sample's bitstring once; the finalized set has one sample
+  // per configuration, so the keys are distinct.
+  std::vector<std::pair<std::string, double>> energy_of;
+  energy_of.reserve(samples.samples().size());
+  for (const auto& sample : samples.samples()) {
+    energy_of.emplace_back(sample.bitstring(), sample.energy);
+    result.counts.add(energy_of.back().first, sample.occurrences);
+  }
   result.decoded = core::decode_counts(result.counts, schema, reg);
-  // Attach energies to the decoded outcomes (keys are sorted identically).
-  for (auto& outcome : result.decoded)
-    for (const auto& sample : samples.samples())
-      if (sample.bitstring() == outcome.bitstring) {
-        outcome.energy = sample.energy;
-        break;
-      }
+  // Attach energies to the decoded outcomes.
+  std::sort(energy_of.begin(), energy_of.end());
+  for (auto& outcome : result.decoded) {
+    const auto it = std::lower_bound(energy_of.begin(), energy_of.end(), outcome.bitstring,
+                                     [](const auto& entry, const std::string& key) { return entry.first < key; });
+    if (it != energy_of.end() && it->first == outcome.bitstring) outcome.energy = it->second;
+  }
 
   result.metadata.set("engine", json::Value(name()));
   result.metadata.set("num_reads", json::Value(params.num_reads));
   result.metadata.set("num_sweeps", json::Value(params.num_sweeps));
-  const auto betas = anneal::SimulatedAnnealer::beta_schedule(model, params);
-  result.metadata.set("beta_min", json::Value(betas.front()));
-  result.metadata.set("beta_max", json::Value(betas.back()));
+  const auto [beta_min, beta_max] = anneal::SimulatedAnnealer::beta_bounds(model, params);
+  result.metadata.set("beta_min", json::Value(beta_min));
+  result.metadata.set("beta_max", json::Value(beta_max));
   result.metadata.set("ground_energy", json::Value(samples.lowest().energy));
   result.metadata.set("mean_energy", json::Value(samples.mean_energy()));
   result.metadata.set("ground_fraction", json::Value(samples.ground_fraction()));

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "anneal/sampler.hpp"
 #include "util/errors.hpp"
@@ -144,6 +147,23 @@ TEST(Schedule, GeometricVsLinearShape) {
   EXPECT_NEAR(g.back(), l.back(), 1e-12);
 }
 
+TEST(Schedule, BoundsAreTheLadderEnds) {
+  const IsingModel m = ring4();
+  for (const std::int64_t sweeps : {1, 2, 250}) {
+    for (const Schedule schedule : {Schedule::Geometric, Schedule::Linear}) {
+      AnnealParams params;
+      params.num_sweeps = sweeps;
+      params.schedule = schedule;
+      params.beta_min = 0.3;
+      params.beta_max = 7.1;
+      const auto betas = SimulatedAnnealer::beta_schedule(m, params);
+      const auto [first, last] = SimulatedAnnealer::beta_bounds(m, params);
+      EXPECT_EQ(first, betas.front()) << sweeps << " sweeps";
+      EXPECT_EQ(last, betas.back()) << sweeps << " sweeps";
+    }
+  }
+}
+
 TEST(Schedule, InvalidRangesRejected) {
   const IsingModel m = ring4();
   AnnealParams bad;
@@ -187,18 +207,38 @@ TEST(Annealer, DeterministicForSeed) {
   }
 }
 
+// Restores the OpenMP thread cap on scope exit, so a test that pins thread
+// counts does not leak its last setting into every later test.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(quml::max_threads()) {}
+  ~ThreadCountGuard() { quml::set_num_threads(saved_); }
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+
+ private:
+  int saved_;
+};
+
 TEST(Annealer, ThreadCountDoesNotChangeResults) {
+  const ThreadCountGuard guard;
   AnnealParams params;
-  params.num_reads = 64;
+  params.num_reads = 61;  // not a multiple of any lane width or thread count
   params.num_sweeps = 64;
   params.seed = 13;
   quml::set_num_threads(1);
   const SampleSet serial = SimulatedAnnealer().sample(ring4(), params);
-  quml::set_num_threads(8);
-  const SampleSet parallel = SimulatedAnnealer().sample(ring4(), params);
-  ASSERT_EQ(serial.samples().size(), parallel.samples().size());
-  for (std::size_t i = 0; i < serial.samples().size(); ++i)
-    EXPECT_EQ(serial.samples()[i].spins, parallel.samples()[i].spins);
+  for (const int threads : {3, 8}) {
+    quml::set_num_threads(threads);
+    const SampleSet parallel = SimulatedAnnealer().sample(ring4(), params);
+    ASSERT_EQ(serial.samples().size(), parallel.samples().size()) << threads << " threads";
+    for (std::size_t i = 0; i < serial.samples().size(); ++i) {
+      EXPECT_EQ(serial.samples()[i].spins, parallel.samples()[i].spins) << threads << " threads";
+      EXPECT_EQ(serial.samples()[i].energy, parallel.samples()[i].energy) << threads << " threads";
+      EXPECT_EQ(serial.samples()[i].occurrences, parallel.samples()[i].occurrences)
+          << threads << " threads";
+    }
+  }
 }
 
 TEST(Annealer, FrustratedTriangleGroundEnergy) {
@@ -311,6 +351,161 @@ TEST(ExactSolver, MatchesAnnealerOnRandomInstance) {
 TEST(ExactSolver, RejectsOversizedInstances) {
   EXPECT_THROW(exact_ground_states(IsingModel(25)), ValidationError);
 }
+
+// ---------------------------------------------------------------------------
+// Golden pins.  Each case hashes a whole SampleSet (every sample's spins,
+// energy bit pattern and occurrences, in the set's order) and compares it
+// with the hash the scalar one-read-at-a-time Metropolis loop produced, so a
+// kernel rewrite must reproduce every read bit for bit, not only its
+// statistics.  The hashes assume glibc's libm (std::exp / std::pow feed the
+// acceptance thresholds and the beta ladder).  ctest runs this suite twice:
+// once at the default thread count and once at OMP_NUM_THREADS=3, which
+// splits the reads unevenly across threads.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+std::uint64_t sample_set_hash(const SampleSet& set) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const Sample& s : set.samples()) {
+    hash = fnv1a(hash, s.spins.data(), s.spins.size());
+    std::uint64_t energy_bits = 0;
+    std::memcpy(&energy_bits, &s.energy, sizeof energy_bits);
+    hash = fnv1a(hash, &energy_bits, sizeof energy_bits);
+    hash = fnv1a(hash, &s.occurrences, sizeof s.occurrences);
+  }
+  return hash;
+}
+
+IsingModel from_edges(int n, const std::vector<std::pair<int, int>>& edges) {
+  IsingModel m(n);
+  for (const auto& [i, j] : edges) m.add_coupling(i, j, 1.0);
+  return m;
+}
+
+/// Max-Cut Ising form (J = edge weight 1, h = 0) of a Möbius ladder: a ring
+/// plus its n/2 long diagonals, cubic for even n.
+IsingModel mobius_ladder(int n) {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
+  for (int i = 0; i < n / 2; ++i) edges.emplace_back(i, i + n / 2);
+  return from_edges(n, edges);
+}
+
+/// Prism over an (n/2)-ring: two rings joined by spokes, cubic.
+IsingModel prism(int n) {
+  const int k = n / 2;
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < k; ++i) {
+    edges.emplace_back(i, (i + 1) % k);
+    edges.emplace_back(k + i, k + (i + 1) % k);
+    edges.emplace_back(i, k + i);
+  }
+  return from_edges(n, edges);
+}
+
+/// The Petersen graph: outer 5-ring, inner pentagram, spokes; cubic, n = 10.
+IsingModel petersen() {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < 5; ++i) {
+    edges.emplace_back(i, (i + 1) % 5);
+    edges.emplace_back(5 + i, 5 + (i + 2) % 5);
+    edges.emplace_back(i, 5 + i);
+  }
+  return from_edges(10, edges);
+}
+
+IsingModel ring(int n) {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
+  return from_edges(n, edges);
+}
+
+/// Non-dyadic couplings and fields: nearly every flip has its own delta, so
+/// a threshold memo keyed by delta mostly misses.
+IsingModel random_with_fields(int n, std::uint64_t seed) {
+  IsingModel m(n);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      if (rng.next_double() < 0.4) m.add_coupling(i, j, rng.next_double() * 2.0 - 1.0);
+  for (int i = 0; i < n; ++i) m.set_field(i, rng.next_double() - 0.5);
+  return m;
+}
+
+IsingModel single_spin(double field) {
+  IsingModel m(1);
+  m.set_field(0, field);
+  return m;
+}
+
+struct PinCase {
+  std::string name;
+  IsingModel model;
+  AnnealParams params;
+  std::uint64_t hash;
+};
+
+AnnealParams pin_params(std::int64_t reads, std::int64_t sweeps, std::uint64_t seed) {
+  AnnealParams p;
+  p.num_reads = reads;
+  p.num_sweeps = sweeps;
+  p.seed = seed;
+  return p;
+}
+
+AnnealParams with_betas(AnnealParams p, double beta_min, double beta_max, Schedule schedule) {
+  p.beta_min = beta_min;
+  p.beta_max = beta_max;
+  p.schedule = schedule;
+  return p;
+}
+
+std::vector<PinCase> pin_cases() {
+  return {
+      {"cubic8", mobius_ladder(8), pin_params(1000, 100, 11), 0x831b550bb8ca4be1ull},
+      {"cubic10", petersen(), pin_params(61, 250, 12), 0xa57b4240d7e39d7cull},
+      {"cubic12", prism(12), pin_params(1000, 60, 13), 0x8e5288f486f9ebd0ull},
+      {"cubic16", mobius_ladder(16), pin_params(3, 500, 14), 0xb0ea8bf542e6dce6ull},
+      {"cubic12_one_read", prism(12), pin_params(1, 250, 15), 0x1f6c95f339e3a73aull},
+      {"cubic8_one_sweep", mobius_ladder(8), pin_params(61, 1, 16), 0xbd49ccbdda108988ull},
+      {"cubic12_geometric_explicit",
+       prism(12), with_betas(pin_params(3, 300, 17), 0.1, 5.0, Schedule::Geometric), 0xe17707e1240512f8ull},
+      {"random10_fields", random_with_fields(10, 2024), pin_params(61, 200, 18), 0xecf6d0b154a04d82ull},
+      {"random12_fields_one_read", random_with_fields(12, 7), pin_params(1, 300, 19), 0x47089e44551653daull},
+      {"random10_linear_explicit",
+       random_with_fields(10, 99), with_betas(pin_params(61, 120, 20), 0.05, 4.0, Schedule::Linear),
+       0x36b636a390ef325aull},
+      {"ring8", ring(8), pin_params(61, 100, 21), 0xc517d234c33b9dbcull},
+      {"ring9_linear", ring(9), with_betas(pin_params(1000, 40, 22), 0.2, 3.0, Schedule::Linear),
+       0x58c4a8b3b8906075ull},
+      {"single_field", single_spin(0.75), pin_params(1000, 10, 23), 0x9e00f6171c8676aaull},
+      {"single_free", single_spin(0.0), with_betas(pin_params(3, 50, 24), 0.5, 2.0, Schedule::Linear),
+       0x4c261dbfe7c8e796ull},
+  };
+}
+
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
+
+class AnnealPin : public ::testing::TestWithParam<PinCase> {};
+
+TEST_P(AnnealPin, MatchesRecordedHash) {
+  const PinCase& c = GetParam();
+  const SampleSet set = SimulatedAnnealer().sample(c.model, c.params);
+  ASSERT_EQ(set.total_reads(), c.params.num_reads);
+  const std::uint64_t hash = sample_set_hash(set);
+  EXPECT_EQ(hash, c.hash) << c.name << " hashed to 0x" << std::hex << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(SampleSets, AnnealPin, ::testing::ValuesIn(pin_cases()),
+                         [](const ::testing::TestParamInfo<PinCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace quml::anneal

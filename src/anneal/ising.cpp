@@ -19,15 +19,18 @@ void IsingModel::add_coupling(int i, int j, double value) {
   if (i < 0 || j < 0 || i >= num_spins() || j >= num_spins())
     throw ValidationError("Ising coupling index out of range");
   if (i > j) std::swap(i, j);
-  for (auto& [a, b, v] : couplings) {
-    if (a == i && b == j) {
-      v += value;
-      for (auto& [nbr, w] : adjacency[static_cast<std::size_t>(i)])
-        if (nbr == j) w += value;
-      for (auto& [nbr, w] : adjacency[static_cast<std::size_t>(j)])
-        if (nbr == i) w += value;
-      return;
-    }
+  // A duplicate shows up in spin i's neighbour list, O(degree); only then
+  // is the coupling list searched.
+  auto& nbrs_i = adjacency[static_cast<std::size_t>(i)];
+  const auto hit = std::find_if(nbrs_i.begin(), nbrs_i.end(),
+                                [j](const std::pair<int, double>& e) { return e.first == j; });
+  if (hit != nbrs_i.end()) {
+    hit->second += value;
+    for (auto& [nbr, w] : adjacency[static_cast<std::size_t>(j)])
+      if (nbr == i) w += value;
+    for (auto& [a, b, v] : couplings)
+      if (a == i && b == j) v += value;
+    return;
   }
   couplings.emplace_back(i, j, value);
   adjacency[static_cast<std::size_t>(i)].emplace_back(j, value);

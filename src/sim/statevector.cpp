@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <system_error>
 
 #include "sim/fusion.hpp"
@@ -444,75 +445,48 @@ void Statevector::apply_diag(std::span<const int> qubits, const c64* dg) {
     return;
   }
   const std::size_t nloc = std::size_t{1} << k;
+  double* d = reinterpret_cast<double*>(amps_.data());
 
   int pmin = num_qubits_;
   for (const int q : qubits) pmin = std::min(pmin, q);
+  // The cycle walk below runs every support whose lowest bit is >= 3 in
+  // contiguous runs.  Lower supports leave it single-amplitude hops, so two
+  // shapes of them get a linear sweep of their own.
   // Contiguous ascending support {p..p+k-1} — the shape cascade blocks fuse
-  // into — turns the group walk into pure unit-stride traffic.
+  // into: the state is contiguous groups of 2^k amplitudes multiplied
+  // elementwise by the (cache-resident) factor table.
   bool contiguous = true;
   for (int j = 0; j < k; ++j) contiguous = contiguous && qubits[j] == qubits[0] + j;
-  if (pmin >= 3 || contiguous) {
-    double* d = reinterpret_cast<double*>(amps_.data());
-    if (pmin >= 3) {
-      // Every support bit sits above the run: each run of 2^pmin amplitudes
-      // shares one factor, and unit factors skip their runs entirely.
-      const std::int64_t runlen = std::int64_t{1} << pmin;
-      int qloc[kMaxKernelQubits];
-      for (int j = 0; j < k; ++j) qloc[j] = qubits[j];
-      const std::vector<double> fr = [&] {
-        std::vector<double> v(2 * nloc);
-        for (std::size_t m = 0; m < nloc; ++m) {
-          v[2 * m] = dg[m].real();
-          v[2 * m + 1] = dg[m].imag();
-        }
-        return v;
-      }();
-      const double* fp = fr.data();
-      const int kk = k;
-      const int pm = pmin;
-      parallel_chunks(static_cast<std::int64_t>(dim() >> pmin),
-                      [=](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t r = lo; r < hi; ++r) {
-                          const std::uint64_t i0 = static_cast<std::uint64_t>(r) << pm;
-                          std::size_t m = 0;
-                          for (int j = 0; j < kk; ++j) m |= ((i0 >> qloc[j]) & 1u) << j;
-                          if (fp[2 * m] == 1.0 && fp[2 * m + 1] == 0.0) continue;
-                          scale_run(d, i0, runlen, fp[2 * m], fp[2 * m + 1]);
-                        }
-                      });
-    } else {
-      const int p = qubits[0];
-      // Low-wire support: the state is contiguous groups of 2^k amplitudes
-      // multiplied elementwise by the (cache-resident) factor table.
-      std::vector<double> fr(nloc << (p + 1));
-      for (std::size_t i = 0; i < (nloc << p); ++i) {
-        const std::size_t m = i >> p;
-        fr[2 * i] = dg[m].real();
-        fr[2 * i + 1] = dg[m].imag();
-      }
-      const double* fp = fr.data();
-      const std::size_t glen = nloc << p;  // amplitudes per table period
-      parallel_chunks(static_cast<std::int64_t>(dim() >> (k + p)),
-                      [=](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t g = lo; g < hi; ++g) {
-                          double* __restrict a = d + 2 * (static_cast<std::uint64_t>(g) * glen);
-                          const double* __restrict f = fp;
-                          for (std::size_t j = 0; j < 2 * glen; j += 2) {
-                            const double re = a[j] * f[j] - a[j + 1] * f[j + 1];
-                            a[j + 1] = a[j] * f[j + 1] + a[j + 1] * f[j];
-                            a[j] = re;
-                          }
-                        }
-                      });
+  if (pmin < 3 && contiguous) {
+    const int p = qubits[0];
+    std::vector<double> fr(nloc << (p + 1));
+    for (std::size_t i = 0; i < (nloc << p); ++i) {
+      const std::size_t m = i >> p;
+      fr[2 * i] = dg[m].real();
+      fr[2 * i + 1] = dg[m].imag();
     }
+    const double* fp = fr.data();
+    const std::size_t glen = nloc << p;  // amplitudes per table period
+    parallel_chunks(static_cast<std::int64_t>(dim() >> (k + p)),
+                    [=](std::int64_t lo, std::int64_t hi) {
+                      for (std::int64_t g = lo; g < hi; ++g) {
+                        double* __restrict a = d + 2 * (static_cast<std::uint64_t>(g) * glen);
+                        const double* __restrict f = fp;
+                        for (std::size_t j = 0; j < 2 * glen; j += 2) {
+                          const double re = a[j] * f[j] - a[j + 1] * f[j + 1];
+                          a[j + 1] = a[j] * f[j + 1] + a[j + 1] * f[j];
+                          a[j] = re;
+                        }
+                      }
+                    });
     return;
   }
   std::size_t nonunit = 0;
   for (std::size_t m = 0; m < nloc; ++m)
     if (dg[m] != c64(1.0, 0.0)) ++nonunit;
-  if (k >= 6 && 2 * nonunit >= nloc) {
+  if (pmin < 3 && k >= 6 && 2 * nonunit >= nloc) {
     // Dense table on a scattered wide support (an rzz cost layer: every
-    // factor non-unit): the offset-walk below would visit the whole state in
+    // factor non-unit): the cycle walk would visit the whole state in
     // dim/2^k strided groups, thrashing TLB and cache.  Split the gather
     // into two lookup tables instead — local index = t_lo[i & mask] |
     // t_hi[i >> 16] — and the kernel becomes one linear sweep of the state
@@ -533,7 +507,6 @@ void Statevector::apply_diag(std::span<const int> qubits, const c64* dg) {
           t_hi[y] |= static_cast<std::uint32_t>(((y >> qh) & 1ull) << j);
       }
     }
-    double* d = reinterpret_cast<double*>(amps_.data());
     const std::uint32_t* tlp = t_lo.data();
     const std::uint32_t* thp = t_hi.data();
     const int lb = lo_bits;
@@ -550,40 +523,12 @@ void Statevector::apply_diag(std::span<const int> qubits, const c64* dg) {
     });
     return;
   }
-
-  // Only local indices with a non-unit factor are visited; a CP/CZ-style
-  // cascade therefore still skips the untouched fraction of the state.
-  const std::vector<std::uint64_t> all_offs = local_offsets(qubits);
-  std::vector<std::uint64_t> offs;
-  std::vector<double> fr, fi;
-  for (std::size_t m = 0; m < nloc; ++m) {
-    if (dg[m] == c64(1.0, 0.0)) continue;
-    offs.push_back(all_offs[m]);
-    fr.push_back(dg[m].real());
-    fi.push_back(dg[m].imag());
-  }
-  if (offs.empty()) return;
-  int ps[kMaxKernelQubits];
-  for (int j = 0; j < k; ++j) ps[j] = qubits[j];
-  std::sort(ps, ps + k);
-  double* d = reinterpret_cast<double*>(amps_.data());
-  const std::size_t nact = offs.size();
-  const std::uint64_t* offp = offs.data();
-  const double* frp = fr.data();
-  const double* fip = fi.data();
-  const int kk = k;
-  const int* psp = ps;
-  parallel_chunks(static_cast<std::int64_t>(dim() >> k), [=](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const std::uint64_t base = expand_k(static_cast<std::uint64_t>(i), psp, kk);
-      for (std::size_t t = 0; t < nact; ++t) {
-        double* p = d + 2 * (base + offp[t]);
-        const double re = p[0] * frp[t] - p[1] * fip[t];
-        p[1] = p[0] * fip[t] + p[1] * frp[t];
-        p[0] = re;
-      }
-    }
-  });
+  // Every other support is the identity permutation on the cycle walk: only
+  // the non-unit factors' rows are visited, so a CP/CZ-style cascade still
+  // skips the untouched fraction of the state.
+  std::vector<int> identity(nloc);
+  std::iota(identity.begin(), identity.end(), 0);
+  cycle_walk(qubits, identity.data(), dg);
 }
 
 void Statevector::apply_monomial(std::span<const int> qubits, const int* src, const c64* phase) {
@@ -616,18 +561,21 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
       throw ValidationError("monomial src table is not a permutation");
     hit[static_cast<std::size_t>(src[m])] = true;
   }
-  if (k == 1) {
-    Mat2 m{};
-    m.m[0][src[0]] = phase[0];
-    m.m[1][src[1]] = phase[1];
-    apply_1q(qubits[0], m);
-    return;
-  }
+  cycle_walk(qubits, src, phase);
+}
+
+void Statevector::cycle_walk(std::span<const int> qubits, const int* src, const c64* phase) {
+  const int k = static_cast<int>(qubits.size());
+  const std::size_t nloc = std::size_t{1} << k;
   const std::vector<std::uint64_t> offs = local_offsets(qubits);
   // Decompose the permutation into cycles once; each group then walks the
   // cycles in place (one load, one multiply, one store per moved amplitude)
-  // and rows that neither move nor rephase are never touched at all.  The
-  // flattened layout is [len, m0, m1, ...] per cycle.
+  // and rows that neither move nor rephase are never touched at all.
+  // Rephased fixed points (all of a diagonal's rows) are kept apart as
+  // compact (offset, re, im) arrays and scaled in one tight loop; longer
+  // cycles are flattened as [len, m0, m1, ...].
+  std::vector<std::uint64_t> fix_off;
+  std::vector<double> fix_re, fix_im;
   std::vector<std::uint32_t> walk;
   {
     std::vector<bool> seen(nloc, false);
@@ -636,8 +584,9 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
       if (static_cast<std::size_t>(src[m0]) == m0) {
         seen[m0] = true;
         if (phase[m0] != c64(1.0, 0.0)) {
-          walk.push_back(1);
-          walk.push_back(static_cast<std::uint32_t>(m0));
+          fix_off.push_back(offs[m0]);
+          fix_re.push_back(phase[m0].real());
+          fix_im.push_back(phase[m0].imag());
         }
         continue;
       }
@@ -654,12 +603,13 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
       walk[lenpos] = len;
     }
   }
-  if (walk.empty()) return;
+  if (fix_off.empty() && walk.empty()) return;
   int ps[kMaxKernelQubits];
   for (int j = 0; j < k; ++j) ps[j] = qubits[j];
   std::sort(ps, ps + k);
-  std::vector<double> phr(nloc), phi(nloc);
-  for (std::size_t m = 0; m < nloc; ++m) {
+  // Split phases for the cycles; a diagonal has none and skips the table.
+  std::vector<double> phr(walk.empty() ? 0 : nloc), phi(phr.size());
+  for (std::size_t m = 0; m < phr.size(); ++m) {
     phr[m] = phase[m].real();
     phi[m] = phase[m].imag();
   }
@@ -667,6 +617,10 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
   const std::uint64_t* offp = offs.data();
   const std::uint32_t* walkp = walk.data();
   const std::size_t walklen = walk.size();
+  const std::uint64_t* fop = fix_off.data();
+  const double* frp = fix_re.data();
+  const double* fip = fix_im.data();
+  const std::size_t nfix = fix_off.size();
   const double* phrp = phr.data();
   const double* phip = phi.data();
   const int kk = k;
@@ -684,19 +638,16 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
     const std::int64_t runlen = std::int64_t{1} << p0;
     parallel_chunks(static_cast<std::int64_t>(dim() >> (k + p0)),
                     [=](std::int64_t lo, std::int64_t hi) {
-                      std::vector<double> tmp(static_cast<std::size_t>(2 * runlen));
+                      std::vector<double> tmp(walklen ? static_cast<std::size_t>(2 * runlen) : 0);
                       for (std::int64_t sg = lo; sg < hi; ++sg) {
                         const std::uint64_t base =
                             expand_k(static_cast<std::uint64_t>(sg) << p0, psp, kk);
+                        for (std::size_t t = 0; t < nfix; ++t)
+                          scale_run(d, base + fop[t], runlen, frp[t], fip[t]);
                         std::size_t w = 0;
                         while (w < walklen) {
                           const std::uint32_t len = walkp[w++];
                           std::uint32_t m = walkp[w];
-                          if (len == 1) {  // rephased fixed point: one scaled run
-                            scale_run(d, base + offp[m], runlen, phrp[m], phip[m]);
-                            ++w;
-                            continue;
-                          }
                           double* p = d + 2 * (base + offp[m]);
                           for (std::int64_t j = 0; j < 2 * runlen; ++j) tmp[static_cast<std::size_t>(j)] = p[j];
                           for (std::uint32_t s = 0; s + 1 < len; ++s) {
@@ -728,18 +679,17 @@ void Statevector::apply_monomial(std::span<const int> qubits, const int* src, co
   parallel_chunks(static_cast<std::int64_t>(dim() >> k), [=](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
       const std::uint64_t base = expand_k(static_cast<std::uint64_t>(i), psp, kk);
+      for (std::size_t t = 0; t < nfix; ++t) {
+        double* p = d + 2 * (base + fop[t]);
+        const double re = p[0] * frp[t] - p[1] * fip[t];
+        p[1] = p[0] * fip[t] + p[1] * frp[t];
+        p[0] = re;
+      }
       std::size_t w = 0;
       while (w < walklen) {
         const std::uint32_t len = walkp[w++];
         std::uint32_t m = walkp[w];
         double* p = d + 2 * (base + offp[m]);
-        if (len == 1) {  // rephased fixed point
-          const double re = p[0] * phrp[m] - p[1] * phip[m];
-          p[1] = p[0] * phip[m] + p[1] * phrp[m];
-          p[0] = re;
-          ++w;
-          continue;
-        }
         const double t0 = p[0], t1 = p[1];
         for (std::uint32_t s = 0; s + 1 < len; ++s) {
           const std::uint32_t nm = walkp[w + s + 1];

@@ -15,11 +15,25 @@
 // its operands select.  A k-qubit kernel iterates the dim/2^k base indices
 // produced by inserting the fixed operand bits into a compact counter
 // (bit-insertion indexing), in contiguous runs so the inner loops are
-// branch-free and auto-vectorizable.  One private pair walk, templated on
-// the support size, drives apply_1q, the k = 2 diagonal and dense kernels
-// and every monomial that is a single transposition (a lone CX, CY, SWAP,
-// CCX or CSWAP), so those paths build no tables and allocate nothing.
-
+// branch-free and auto-vectorizable.
+//
+// Two private walks carry the structured kernels; each sub-path is picked
+// from the support (and, for one diagonal case, the factor count) alone:
+//   - The pair walk, templated on k = 1..3, drives apply_1q, apply_diag_1q,
+//     the k = 2 diagonal (one quadrant scaled per non-unit factor), the
+//     k = 2 dense matrix, and every monomial that is a single transposition
+//     (a lone CX, CY, SWAP, CCX or CSWAP, k <= 3).  It builds no tables.
+//   - The cycle walk runs every other monomial and every k >= 3 diagonal
+//     not listed below, as the identity permutation.  Rephased fixed points
+//     are scaled from compact (offset, factor) arrays; longer cycles rotate
+//     in place.  A support whose lowest bit is >= 3 moves runs of up to
+//     2^12 amplitudes per local index; a lower one walks group by group.
+//   - A k >= 3 diagonal whose lowest bit is < 3 has two linear sweeps of
+//     its own: a contiguous ascending support {p..p+k-1} multiplies by a
+//     periodic factor table, and a scattered support with k >= 6 and at
+//     least half its factors non-unit gathers each factor through two
+//     lookup tables.
+//   - apply_matrix for k >= 3 is the general dense gather-matvec-scatter.
 #include <complex>
 #include <cstdint>
 #include <memory>
@@ -109,7 +123,8 @@ class Statevector final : public SimState {
   /// local index m becomes phase[m] * (previous amplitude at src[m]).  `src`
   /// must be a permutation of [0, 2^k); rows with src[m] == m and phase 1 are
   /// untouched.  A single transposition on k <= 3 qubits runs on the pair
-  /// walk: a plain exchange for unit phases, a 2x2 butterfly otherwise.
+  /// walk: a plain exchange for unit phases, a 2x2 butterfly otherwise;
+  /// everything else runs on the cycle walk.
   void apply_monomial(std::span<const int> qubits, const int* src, const c64* phase) override;
 
   // --- analysis ---------------------------------------------------------------
@@ -148,6 +163,10 @@ class Statevector final : public SimState {
   /// Validates a k-qubit kernel support (distinct, in range, k bounded);
   /// returns k.
   int check_support(std::span<const int> qubits) const;
+  /// The cycle walk behind apply_monomial and apply_diag: applies the
+  /// monomial (src, phase) on a validated support, where src is a known
+  /// permutation (the identity for a diagonal).
+  void cycle_walk(std::span<const int> qubits, const int* src, const c64* phase);
 
   int num_qubits_;
   std::vector<c64> amps_;

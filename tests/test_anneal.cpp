@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "anneal/sampler.hpp"
@@ -66,6 +67,22 @@ TEST(IsingModel, CouplingAccumulates) {
   EXPECT_EQ(m.couplings.size(), 1u);
   EXPECT_DOUBLE_EQ(m.energy({1, 1}), 1.5);
   EXPECT_DOUBLE_EQ(m.flip_delta({1, 1}, 0), -3.0);
+
+  // A reversed duplicate arriving after unrelated couplings still merges,
+  // in the coupling list and in both spins' neighbour lists.
+  IsingModel w(5);
+  w.add_coupling(1, 3, 2.0);
+  w.add_coupling(0, 1, 1.0);
+  w.add_coupling(2, 3, 1.0);
+  w.add_coupling(3, 4, 1.0);
+  w.add_coupling(0, 4, 1.0);
+  w.add_coupling(3, 1, -0.5);
+  ASSERT_EQ(w.couplings.size(), 5u);
+  EXPECT_EQ(w.couplings[0], std::make_tuple(1, 3, 1.5));
+  const Spins up(5, 1);
+  EXPECT_DOUBLE_EQ(w.flip_delta(up, 1), -2.0 * (1.5 + 1.0));
+  EXPECT_DOUBLE_EQ(w.flip_delta(up, 3), -2.0 * (1.5 + 1.0 + 1.0));
+  EXPECT_DOUBLE_EQ(w.energy(up), 5.5);
 }
 
 TEST(IsingModel, Validation) {

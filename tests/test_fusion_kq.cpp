@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -313,6 +314,66 @@ TEST(ApplyDiag, ContiguousSupportFastPaths) {
     a.apply_matrix(qs, u.data());
     b.apply_diag(qs, d.data());
     EXPECT_LT(max_amp_diff(a, b), 1e-12) << "base " << base;
+  }
+}
+
+TEST(ApplyDiag, EverySubPathEqualsIdentityMonomial) {
+  // A diagonal is the identity-permutation monomial.  Whatever strategy
+  // apply_diag picks for a support, the state must come out byte for byte
+  // as apply_monomial leaves it: the same per-amplitude multiply, only the
+  // traversal may differ.  Each support steers apply_diag to one sub-path.
+  struct Case {
+    int n;
+    std::vector<int> qs;
+    int unit_every;  // every unit_every-th factor is exactly 1 (0: none)
+  };
+  const Case cases[] = {
+      {8, {3, 1}, 0},                         // k = 2 quadrant scaling
+      {8, {5, 0}, 2},                         // k = 2, unit quadrants skipped
+      {8, {0, 1, 2, 3}, 0},                   // contiguous low support
+      {10, {2, 3, 4}, 3},                     // contiguous, lowest bit 2
+      {10, {3, 5, 7}, 0},                     // lowest bit >= 3
+      {12, {5, 6, 7, 8}, 2},                  // contiguous, lowest bit >= 3
+      {14, {12, 4, 9, 6}, 3},                 // lowest bit >= 3, descending-ish
+      {8, {0, 2, 5}, 0},                      // scattered low support
+      {9, {6, 0, 3}, 3},                      // scattered, boundary wires
+      {8, {3, 2, 1, 0}, 0},                   // contiguous but descending order
+      {12, {1, 4, 7, 9, 11}, 2},              // scattered k = 5
+      {12, {0, 2, 4, 6, 8, 10}, 0},           // wide dense: two-level gather
+      {18, {0, 5, 10, 15, 16, 17}, 3},        // wide dense, high table split
+      {16, {1, 3, 5, 7, 9, 11, 13}, 4},       // wide dense k = 7
+      {16, {3, 5, 7, 9, 11, 13}, 0},          // wide, lowest bit >= 3
+  };
+  for (const Case& tc : cases) {
+    const std::size_t nloc = std::size_t{1} << tc.qs.size();
+    Rng rng(static_cast<std::uint64_t>(tc.n * 131 + static_cast<int>(tc.qs.size())));
+    std::vector<c64> d(nloc);
+    for (std::size_t m = 0; m < nloc; ++m)
+      d[m] = tc.unit_every && m % static_cast<std::size_t>(tc.unit_every) == 0
+                 ? c64(1.0, 0.0)
+                 : unit_phase(rng.next_double() * 6 - 3);
+    std::vector<int> identity(nloc);
+    for (std::size_t m = 0; m < nloc; ++m) identity[m] = static_cast<int>(m);
+    Statevector a = random_state(tc.n, 91);
+    Statevector b = a;
+    a.apply_diag(tc.qs, d.data());
+    b.apply_monomial(tc.qs, identity.data(), d.data());
+    EXPECT_EQ(std::memcmp(a.amplitudes().data(), b.amplitudes().data(), a.dim() * sizeof(c64)), 0)
+        << "n " << tc.n << " k " << tc.qs.size() << " lowest " << tc.qs[0];
+  }
+  // A wide support with only a few non-unit factors (a CP cascade block)
+  // leaves the dense gather for the sparse walk.
+  {
+    const std::vector<int> qs = {0, 2, 4, 6, 8, 10};
+    std::vector<c64> d(64, c64(1.0, 0.0));
+    for (const std::size_t m : {std::size_t{7}, std::size_t{21}, std::size_t{63}}) d[m] = unit_phase(0.3 * static_cast<double>(m));
+    std::vector<int> identity(64);
+    for (int m = 0; m < 64; ++m) identity[static_cast<std::size_t>(m)] = m;
+    Statevector a = random_state(12, 92);
+    Statevector b = a;
+    a.apply_diag(qs, d.data());
+    b.apply_monomial(qs, identity.data(), d.data());
+    EXPECT_EQ(std::memcmp(a.amplitudes().data(), b.amplitudes().data(), a.dim() * sizeof(c64)), 0);
   }
 }
 

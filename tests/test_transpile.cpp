@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 
+#include "random_circuit.hpp"
 #include "sim/engine.hpp"
 #include "transpile/transpiler.hpp"
 #include "util/errors.hpp"
@@ -360,6 +361,25 @@ TEST(Transpile, RingRoutedQaoaEndsInItsMeasurements) {
     EXPECT_GT(result.swaps_inserted, 0) << "level " << level;
     EXPECT_TRUE(measurements_trail(result.circuit)) << "level " << level;
   }
+}
+
+TEST(Transpile, LevelThreeRoundsShrinkWhatLevelTwoLeaves) {
+  // Level 3 repeats the fuse/cancel round until it stops shrinking the
+  // circuit.  On most circuits one round already reaches the fixpoint, but
+  // not on this one: the second round cancels what the first exposed.
+  const Circuit c = sim::testgen::random_circuit(72, 3, 60);
+  TranspileOptions opts;
+  opts.basis = BasisSet({"sx", "rz", "cx"});
+  opts.coupling = CouplingMap::ring(3);
+  opts.optimization_level = 2;
+  const TranspileResult level2 = transpile(c, opts);
+  opts.optimization_level = 3;
+  const TranspileResult level3 = transpile(c, opts);
+  EXPECT_LT(level3.circuit.size(), level2.circuit.size());
+  EXPECT_EQ(level3.final_layout, level2.final_layout);
+  const Statevector a = Engine().run_statevector(level2.circuit);
+  const Statevector b = Engine().run_statevector(level3.circuit);
+  EXPECT_NEAR(a.fidelity(b), 1.0, 1e-9);
 }
 
 TEST(Transpile, MetricsPopulated) {

@@ -10,7 +10,6 @@
 #include "sim/qasm.hpp"
 #include "transpile/transpiler.hpp"
 #include "util/errors.hpp"
-#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 
 namespace quml::backend {
@@ -106,7 +105,6 @@ core::ExecutionResult GateBackend::run(const core::JobBundle& bundle) {
 
   // 4. Execute and decode.  A `noise` context block switches to trajectory
   // sampling with the requested Pauli channels; semantics are unchanged.
-  if (exec.max_parallel_threads) set_num_threads(*exec.max_parallel_threads);
   const sim::StateConfig state_config = state_config_for(representation_, exec);
   sim::CountMap raw;
   if (ctx.noise && ctx.noise->enabled) {

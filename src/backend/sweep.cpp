@@ -9,7 +9,6 @@
 #include "sim/sweep.hpp"
 #include "transpile/transpiler.hpp"
 #include "util/errors.hpp"
-#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 
 namespace quml::backend {
@@ -70,7 +69,6 @@ core::ExecutionResult GateSweepSession::run_binding(std::span<const double> valu
                                                     std::uint64_t seed) {
   Stopwatch timer;
   const core::ExecPolicy& exec = realization_->exec();
-  if (exec.max_parallel_threads) set_num_threads(*exec.max_parallel_threads);
   const sim::CountMap raw = session_.run_counts(values, exec.samples, seed);
 
   core::ExecutionResult result;

@@ -36,6 +36,8 @@ struct ExecPolicy {
   std::string engine;                ///< e.g. "gate.statevector_simulator"
   std::int64_t samples = 1024;       ///< shots / reads
   std::uint64_t seed = 42;           ///< all stochastic behaviour derives from this
+  /// Upper bound on the job's OpenMP team; the ExecutionService applies it
+  /// on top of the job's share of the thread budget (svc/execution_service.hpp).
   std::optional<int> max_parallel_threads;
   TargetSpec target;
   json::Value options = json::Value::object();  ///< engine-specific knobs

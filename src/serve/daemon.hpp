@@ -75,7 +75,14 @@ struct DaemonConfig {
   /// lifetime job count.  The settle callback always sees the full snapshot
   /// before eviction.
   std::size_t settled_retention = 4096;
-  svc::ServiceConfig service;
+  /// One worker per engine unless set: the daemon's single poll thread, not
+  /// the workers, bounds its throughput, and the one worker's job still gets
+  /// the whole thread budget as its OpenMP team.
+  svc::ServiceConfig service = [] {
+    svc::ServiceConfig config;
+    config.default_workers = 1;
+    return config;
+  }();
 };
 
 enum class SubmitOutcome { Accepted, Rejected, Shed };

@@ -11,6 +11,7 @@
 #include "core/registry.hpp"
 #include "svc/fair_share.hpp"
 #include "util/errors.hpp"
+#include "util/parallel.hpp"
 
 namespace quml::svc {
 
@@ -50,6 +51,7 @@ struct JobRecord {
   /// against the budget.
   RetryPolicy policy;
   std::uint64_t jitter_seed = 0;  // exec.seed: deterministic backoff jitter
+  std::optional<int> max_parallel_threads;  // exec.max_parallel_threads: team cap
   std::chrono::steady_clock::time_point submitted{};
   /// Internal worker task (sweep shards): when set, the worker runs it with
   /// its private Backend instance instead of backend->run(bundle).  The
@@ -342,6 +344,11 @@ struct ExecutionService::BackendQueue {
   std::vector<std::thread> workers;
 };
 
+int hardware_threads() {
+  static const int threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  return threads;
+}
+
 ExecutionService::ExecutionService(ServiceConfig config)
     : config_(std::move(config)), breakers_(config_.breaker) {
   // Touch the registry singleton now: it outlives this service even when the
@@ -353,19 +360,20 @@ ExecutionService::ExecutionService(ServiceConfig config)
 ExecutionService::~ExecutionService() { shutdown(); }
 
 ExecutionService& ExecutionService::shared() {
-  static ExecutionService service([] {
-    // Wide enough that concurrent legacy core::submit() callers keep the
-    // parallelism they had when each call ran inline, without spawning an
-    // unbounded pool on large hosts.
-    ServiceConfig config;
-    const unsigned hw = std::thread::hardware_concurrency();
-    config.default_workers = static_cast<int>(std::min(8u, std::max(2u, hw)));
-    return config;
-  }());
+  static ExecutionService service;
   return service;
 }
 
 namespace {
+
+/// OpenMP team of a job that starts while `running` jobs (itself included)
+/// run on the service: its share of the thread budget, capped by the
+/// process's OpenMP cap and by the job's own exec.max_parallel_threads.
+int team_size(int running, int omp_cap, std::optional<int> job_cap) {
+  int team = std::min(omp_cap, std::max(1, hardware_threads() / running));
+  if (job_cap) team = std::min(team, *job_cap);
+  return team;
+}
 
 /// Semantic admission: the error-severity analysis passes run synchronously
 /// on the submitting thread, so a defective bundle (out-of-range carriers,
@@ -439,6 +447,7 @@ std::shared_ptr<JobRecord> ExecutionService::route(
   const core::ExecPolicy exec = bundle.exec_policy();
   rec->policy = RetryPolicy::from_exec(exec);
   rec->jitter_seed = exec.seed;
+  rec->max_parallel_threads = exec.max_parallel_threads;
   rec->submitted = std::chrono::steady_clock::now();
   rec->bundle = std::make_unique<core::JobBundle>(std::move(bundle));
   return rec;
@@ -682,6 +691,7 @@ SweepHandle ExecutionService::submit_sweep(core::JobBundle bundle,
     auto rec = std::make_shared<JobRecord>();
     rec->engine = state->engine;
     rec->backlog_contribution_us = per_shard_us;
+    rec->max_parallel_threads = probe->max_parallel_threads;
     rec->task = [this, state](core::Backend* backend) {
       run_sweep_shard(state, backend, &breakers_.breaker(state->engine), &stop_flag_);
     };
@@ -787,6 +797,9 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
   // Backend concurrency contract in core/registry.hpp).
   std::unique_ptr<core::Backend> backend;
   detail::t_on_worker_thread = true;
+  // The process's OpenMP cap (OMP_NUM_THREADS; 1 without OpenMP): a fresh
+  // thread reads the global default, before it ever sets its own team.
+  const int omp_cap = max_threads();
   for (;;) {
     std::shared_ptr<JobRecord> rec;
     {
@@ -813,6 +826,11 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
       continue;
     }
 
+    // This thread's team for the whole job (retries and failover included),
+    // sized by how many jobs run right now; the setting is this thread's
+    // own, so the next job never inherits it.
+    const int running = running_.fetch_add(1, std::memory_order_relaxed) + 1;
+    set_num_threads(team_size(running, omp_cap, rec->max_parallel_threads));
     core::ExecutionResult result;
     std::exception_ptr failure;
     std::vector<Attempt> attempts;
@@ -838,6 +856,7 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
     } catch (...) {
       failure = std::current_exception();
     }
+    running_.fetch_sub(1, std::memory_order_relaxed);
     {
       MutexLock lock(rec->mutex);
       rec->failure = failure;

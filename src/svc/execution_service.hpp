@@ -19,12 +19,18 @@
 //     congested one with otherwise identical capabilities);
 //   * every worker thread owns a private Backend instance, and each job's
 //     randomness derives from its own exec.seed, so results are bit-identical
-//     to serial core::submit() regardless of worker count or arrival order.
+//     to serial core::submit() regardless of worker count or arrival order;
+//   * one thread budget (hardware_threads()) is split between jobs running
+//     side by side and the OpenMP team inside each job: before every job or
+//     sweep shard its worker sizes its own team to
+//     min(OpenMP cap, budget / jobs running, exec.max_parallel_threads), so a
+//     job that runs alone still gets every thread.
 //
 // core::submit() is now a thin synchronous wrapper over the process-wide
 // shared() service (submit + wait), so the blocking API remains available
 // without a second execution path.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -60,9 +66,15 @@ inline bool is_terminal(JobStatus status) {
          status == JobStatus::Cancelled;
 }
 
+/// The thread budget every service splits between its jobs:
+/// std::thread::hardware_concurrency() (at least 1), read once per process.
+int hardware_threads();
+
 struct ServiceConfig {
   /// Worker threads per backend pool (pools are created lazily per engine).
-  int default_workers = 1;
+  /// Half the thread budget by default, so two jobs run side by side and
+  /// each gets half the budget as its OpenMP team.
+  int default_workers = std::max(1, hardware_threads() / 2);
   /// Per-engine override, keyed by canonical engine name.
   std::map<std::string, int> workers_per_engine;
   /// Scoring weights for "auto" routing (sched::choose_backend).
@@ -264,6 +276,8 @@ class ExecutionService {
   /// Circuit-breaker state of `engine`'s pool (accepts aliases; Closed for
   /// engines that have never run anything).
   CircuitBreaker::State breaker_state(const std::string& engine) const;
+  /// Jobs and sweep shards running on this service's workers right now.
+  int running_jobs() const { return running_.load(std::memory_order_relaxed); }
 
   /// Blocks until every submitted job is terminal.
   void wait_all() QUML_EXCLUDES(mutex_);
@@ -314,6 +328,9 @@ class ExecutionService {
   BackendQueue* queue_for(const std::string& canonical_engine) QUML_REQUIRES(mutex_);
 
   ServiceConfig config_;
+  /// Jobs running across every pool; each worker reads it to size the
+  /// OpenMP team of the job it is about to run.
+  std::atomic<int> running_{0};
   /// Per-engine circuit breakers (internally synchronized; leaf locks, never
   /// held while taking mutex_ or a queue/record mutex).
   mutable BreakerBoard breakers_;

@@ -36,7 +36,9 @@ inline int num_procs() noexcept {
 #endif
 }
 
-/// Caps the thread pool for subsequent parallel regions (no-op when serial).
+/// Caps the calling thread's team for subsequent parallel regions (no-op when
+/// serial).  Only the ExecutionService worker loop calls it in src/: it owns
+/// the thread budget.
 inline void set_num_threads(int n) noexcept {
 #ifdef _OPENMP
   omp_set_num_threads(n);

@@ -444,6 +444,12 @@ DaemonConfig daemon_config(const std::string& store_name) {
   return config;
 }
 
+TEST(JobDaemon, KeepsOneWorkerPerEngineByDefault) {
+  // The poll thread, not the workers, bounds the daemon; its one worker's
+  // job gets the whole thread budget.
+  EXPECT_EQ(DaemonConfig{}.service.default_workers, 1);
+}
+
 TEST(JobDaemon, ExecutesAndSettlesWithServiceParityCounts) {
   JobDaemon daemon(daemon_config("daemon_exec.ndjson"));
   const core::JobBundle bundle = qft_job(3, 91);

@@ -3,19 +3,24 @@
 // shadow an engine), async-vs-serial determinism (N client threads x M mixed
 // gate/anneal jobs must reproduce serial core::submit bit-for-bit),
 // cancellation and failure propagation, job timeouts, "auto" routing with
-// queue_wait_us fed live from actual per-backend backlog, and sim::Engine
-// re-entrancy under concurrent callers.
+// queue_wait_us fed live from actual per-backend backlog, the thread budget
+// (each job's OpenMP team is its share of the budget, capped by the OpenMP
+// cap and its own exec.max_parallel_threads), and sim::Engine re-entrancy
+// under concurrent callers.
 //
 // This file (and these suites) also run under the ThreadSanitizer CI job
 // (cmake --preset tsan; ctest -L svc).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +33,7 @@
 #include "sim/engine.hpp"
 #include "svc/execution_service.hpp"
 #include "util/errors.hpp"
+#include "util/parallel.hpp"
 
 namespace quml {
 namespace {
@@ -198,6 +204,83 @@ class FlakyFactoryBackend : public core::Backend {
   }
 };
 
+/// Backend that records the OpenMP team its job was given (quml::max_threads()
+/// inside run(), keyed by job id) and, while the probe gate is closed, holds
+/// every run until the test opens it.  Registered as a gate-kind and an
+/// anneal-kind engine; the recordings are shared by both.  Advertises 3
+/// qubits, so no "auto" job in this suite (4 qubits and up) can route here.
+class TeamProbeBackend : public core::Backend {
+ public:
+  TeamProbeBackend(std::string name, std::string kind)
+      : name_(std::move(name)), kind_(std::move(kind)) {}
+
+  std::string name() const override { return name_; }
+
+  core::ExecutionResult run(const core::JobBundle& bundle) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      teams_[bundle.job_id] = max_threads();
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [] { return open_; });
+    }
+    core::ExecutionResult result;
+    result.counts.add("0", bundle.exec_policy().samples);
+    return result;
+  }
+
+  json::Value capabilities() const override {
+    json::Value caps = json::Value::object();
+    caps.set("name", json::Value(name_));
+    caps.set("kind", json::Value(kind_));
+    caps.set("num_qubits", json::Value(static_cast<std::int64_t>(3)));
+    if (kind_ == "anneal")
+      caps.set("rep_kinds", json::Value(json::Array{json::Value("ISING_PROBLEM")}));
+    return caps;
+  }
+
+  /// Forgets every recording; `open` false makes later runs wait in run().
+  static void reset(bool open) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    teams_.clear();
+    entered_ = 0;
+    open_ = open;
+  }
+  static void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Waits (up to 30 s) until `runs` runs have entered run().
+  static bool wait_entered(int runs) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, 30s, [runs] { return entered_ >= runs; });
+  }
+  /// Team recorded for `job_id`; 0 when that job never ran.
+  static int team(const std::string& job_id) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = teams_.find(job_id);
+    return it == teams_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::string name_;
+  std::string kind_;
+  static std::mutex mutex_;
+  static std::condition_variable cv_;
+  static std::map<std::string, int> teams_;
+  static int entered_;
+  static bool open_;
+};
+
+std::mutex TeamProbeBackend::mutex_;
+std::condition_variable TeamProbeBackend::cv_;
+std::map<std::string, int> TeamProbeBackend::teams_;
+int TeamProbeBackend::entered_ = 0;
+bool TeamProbeBackend::open_ = true;
+
 std::thread::id g_flaky_home_thread;
 
 /// The registry is process-global, so the instrumented engines are
@@ -218,6 +301,12 @@ void ensure_test_backends() {
       if (std::this_thread::get_id() != g_flaky_home_thread)
         throw BackendError("svc_flaky factory refuses creation off the registering thread");
       return std::make_unique<FlakyFactoryBackend>();
+    });
+    registry.register_backend("gate.svc_team_probe", [] {
+      return std::make_unique<TeamProbeBackend>("gate.svc_team_probe", "gate");
+    });
+    registry.register_backend("anneal.svc_team_probe", [] {
+      return std::make_unique<TeamProbeBackend>("anneal.svc_team_probe", "anneal");
     });
   });
 }
@@ -595,6 +684,104 @@ TEST_F(SvcTest, CapabilitySnapshotCarriesLiveQueueWait) {
     }
   EXPECT_TRUE(found);
   service.wait_all();
+}
+
+// --- service: one thread budget ---------------------------------------------
+
+class SvcBudget : public SvcTest {
+ protected:
+  void TearDown() override { TeamProbeBackend::reset(/*open=*/true); }
+
+  /// The process's OpenMP cap as a fresh thread sees it, which is what each
+  /// service worker reads before it sets its own team (1 without OpenMP).
+  static int omp_cap() {
+    int cap = 0;
+    std::thread([&cap] { cap = max_threads(); }).join();
+    return cap;
+  }
+
+  static core::JobBundle probe_job(std::uint64_t seed, std::optional<int> cap = std::nullopt) {
+    core::JobBundle job = qft_job(3, seed, "gate.svc_team_probe", 16);
+    job.context->exec.max_parallel_threads = cap;
+    return job;
+  }
+};
+
+TEST_F(SvcBudget, DefaultsSplitTheBudgetInTwo) {
+  EXPECT_GE(svc::hardware_threads(), 1);
+  EXPECT_EQ(svc::ServiceConfig{}.default_workers, std::max(1, svc::hardware_threads() / 2));
+}
+
+TEST_F(SvcBudget, LoneJobGetsTheWholeBudget) {
+  TeamProbeBackend::reset(/*open=*/true);
+  svc::ExecutionService service;
+  const core::JobBundle job = probe_job(1);
+  service.handle(service.submit(job)).wait();
+  EXPECT_EQ(TeamProbeBackend::team(job.job_id), std::min(svc::hardware_threads(), omp_cap()));
+  service.shutdown();
+  EXPECT_EQ(service.running_jobs(), 0);
+}
+
+TEST_F(SvcBudget, ConcurrentJobsSplitTheBudget) {
+  // Three workers, all held in run() until every job has entered: the first
+  // job started alone and holds the lone share; the two that started beside
+  // it run concurrently and each see at most half the budget.
+  TeamProbeBackend::reset(/*open=*/false);
+  svc::ServiceConfig config;
+  config.default_workers = 3;
+  svc::ExecutionService service(config);
+  const core::JobBundle first = probe_job(2), second = probe_job(3), third = probe_job(4);
+  service.submit(first);
+  ASSERT_TRUE(TeamProbeBackend::wait_entered(1));
+  service.submit(second);
+  service.submit(third);
+  ASSERT_TRUE(TeamProbeBackend::wait_entered(3));
+  EXPECT_EQ(service.running_jobs(), 3);
+  TeamProbeBackend::open();
+  service.wait_all();
+
+  const int budget = svc::hardware_threads();
+  EXPECT_EQ(TeamProbeBackend::team(first.job_id), std::min(budget, omp_cap()));
+  for (const core::JobBundle* job : {&second, &third}) {
+    EXPECT_GE(TeamProbeBackend::team(job->job_id), 1) << job->job_id;
+    EXPECT_LE(TeamProbeBackend::team(job->job_id), std::max(1, budget / 2)) << job->job_id;
+  }
+  service.shutdown();
+  EXPECT_EQ(service.running_jobs(), 0);
+}
+
+TEST_F(SvcBudget, ThreadCapBindsOnlyItsOwnJob) {
+  // Regression: the cap used to be set on the worker thread and never
+  // restored, so one capped job pinned every later job on that worker.
+  TeamProbeBackend::reset(/*open=*/true);
+  svc::ServiceConfig config;
+  config.default_workers = 1;
+  svc::ExecutionService service(config);
+  const core::JobBundle capped = probe_job(5, 1), uncapped = probe_job(6);
+  service.handle(service.submit(capped)).wait();
+  service.handle(service.submit(uncapped)).wait();
+  EXPECT_EQ(TeamProbeBackend::team(capped.job_id), 1);
+  EXPECT_EQ(TeamProbeBackend::team(uncapped.job_id),
+            std::min(svc::hardware_threads(), omp_cap()));
+}
+
+TEST_F(SvcBudget, AnnealJobsHonourTheirCap) {
+  // The service applies the cap, so it binds every engine kind, not only
+  // the gate backends that used to read it themselves.
+  TeamProbeBackend::reset(/*open=*/true);
+  svc::ServiceConfig config;
+  config.default_workers = 1;
+  svc::ExecutionService service(config);
+  core::JobBundle capped = ising_job(3, 7, "anneal.svc_team_probe");
+  capped.context->exec.max_parallel_threads = 1;
+  const core::JobBundle uncapped = ising_job(3, 8, "anneal.svc_team_probe");
+  const svc::JobHandle first = service.handle(service.submit(capped));
+  first.wait();
+  ASSERT_EQ(first.status(), svc::JobStatus::Done) << first.error();
+  service.handle(service.submit(uncapped)).wait();
+  EXPECT_EQ(TeamProbeBackend::team(capped.job_id), 1);
+  EXPECT_EQ(TeamProbeBackend::team(uncapped.job_id),
+            std::min(svc::hardware_threads(), omp_cap()));
 }
 
 // --- batch ordering: JobId <-> result correspondence -------------------------

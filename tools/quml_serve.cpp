@@ -45,9 +45,10 @@ void usage() {
       "usage: quml_serve --store FILE (--unix PATH | --tcp PORT) [--workers N]\n"
       "                  [--tenant NAME:WEIGHT:MAXQ]... [--default-weight W]\n"
       "                  [--default-max N]\n"
-      "         --workers N   worker threads per engine (default 1); tenants share\n"
-      "                       each engine's queue by weight, MAXQ bounds a tenant's\n"
-      "                       queued jobs\n"
+      "         --workers N   worker threads per engine (default 1: the daemon's one\n"
+      "                       poll thread bounds its throughput, and one worker's\n"
+      "                       job gets every thread); tenants share each engine's\n"
+      "                       queue by weight, MAXQ bounds a tenant's queued jobs\n"
       "       quml_serve --load (--unix PATH | --host IP --port N) [--connections N]\n"
       "                  [--jobs N] [--width W] [--samples N] [--seed S]\n"
       "                  [--tenants a,b,c] [--length-prefixed] [--json]\n");
